@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -8,18 +9,23 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 )
 
-// The golden tests pin the /v1 wire protocol byte-for-byte: every
+// The golden tests pin both wire protocols byte-for-byte: every
 // request/response shape (localize, track, sessions, models, errors) is
 // recorded under testdata/golden and any refactor of the serving
-// internals — in particular the Engine extraction — must reproduce the
-// exact same bytes. Regenerate with:
+// internals must reproduce the exact same bytes. /v1 is frozen; the
+// /v2 files (v2_*.golden) pin everything the dialects differ in —
+// request IDs, deadlines, the error envelope, the partial-commit error
+// object, the lifecycle-aware models listing, the NDJSON stream — with
+// the per-process request ID and the wall-clock values normalised. Regenerate
+// with:
 //
-//	go test ./internal/serve -run TestGoldenV1 -update-golden
+//	go test ./internal/serve -run TestGolden -update-golden
 //
 // The fixture models are seeded and the numerics are bit-identical
 // across GEMM paths (DESIGN §2), so recorded prediction bytes are
@@ -33,6 +39,27 @@ type goldenCase struct {
 	method string
 	path   string
 	body   string // empty for GET/DELETE
+	// header holds extra request headers (the /v2 deadline header).
+	header map[string]string
+	// ctx, when set, replaces the request context — a pre-expired or
+	// pre-cancelled one makes the deadline and cancel shapes
+	// deterministic (the unbatched golden server checks the context
+	// before it runs the pass).
+	ctx func() (context.Context, context.CancelFunc)
+	// drain flips the server into drain mode before the exchange.
+	// Draining is one-way, so such cases come last.
+	drain bool
+}
+
+// expired and cancelled are goldenCase.ctx values.
+func expired() (context.Context, context.CancelFunc) {
+	return context.WithDeadline(context.Background(), time.Unix(0, 0))
+}
+
+func cancelled() (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx, cancel
 }
 
 func goldenCases(t *testing.T) []goldenCase {
@@ -69,55 +96,154 @@ func goldenCases(t *testing.T) []goldenCase {
 
 	return []goldenCase{
 		// Localize: success and every error shape.
-		{"localize_ok", "POST", "/v1/localize", localizeOK},
-		{"localize_bad_json", "POST", "/v1/localize", `{not json`},
-		{"localize_trailing_garbage", "POST", "/v1/localize", `{"model":"wifi-test","fingerprints":[]} extra`},
-		{"localize_missing_model", "POST", "/v1/localize", `{"fingerprints":[[0.1]]}`},
-		{"localize_unknown_model", "POST", "/v1/localize", `{"model":"nope","fingerprints":[[0.1]]}`},
-		{"localize_wrong_kind", "POST", "/v1/localize", `{"model":"imu-test","fingerprints":[[0.1]]}`},
-		{"localize_no_fingerprints", "POST", "/v1/localize", `{"model":"wifi-test","fingerprints":[]}`},
-		{"localize_bad_dim", "POST", "/v1/localize", `{"model":"wifi-test","fingerprints":[[0.1,0.2]]}`},
-		{"localize_too_many", "POST", "/v1/localize", marshal(tooMany)},
+		{name: "localize_ok", method: "POST", path: "/v1/localize", body: localizeOK},
+		{name: "localize_bad_json", method: "POST", path: "/v1/localize", body: `{not json`},
+		{name: "localize_trailing_garbage", method: "POST", path: "/v1/localize", body: `{"model":"wifi-test","fingerprints":[]} extra`},
+		{name: "localize_missing_model", method: "POST", path: "/v1/localize", body: `{"fingerprints":[[0.1]]}`},
+		{name: "localize_unknown_model", method: "POST", path: "/v1/localize", body: `{"model":"nope","fingerprints":[[0.1]]}`},
+		{name: "localize_wrong_kind", method: "POST", path: "/v1/localize", body: `{"model":"imu-test","fingerprints":[[0.1]]}`},
+		{name: "localize_no_fingerprints", method: "POST", path: "/v1/localize", body: `{"model":"wifi-test","fingerprints":[]}`},
+		{name: "localize_bad_dim", method: "POST", path: "/v1/localize", body: `{"model":"wifi-test","fingerprints":[[0.1,0.2]]}`},
+		{name: "localize_too_many", method: "POST", path: "/v1/localize", body: marshal(tooMany)},
 
 		// Track.
-		{"track_ok", "POST", "/v1/track", marshal(trackOK)},
-		{"track_no_paths", "POST", "/v1/track", `{"model":"imu-test","paths":[]}`},
-		{"track_bad_features", "POST", "/v1/track", `{"model":"imu-test","paths":[{"start":{"x":0,"y":0},"features":[1,2,3]}]}`},
-		{"track_unknown_model", "POST", "/v1/track", `{"model":"nope","paths":[{"start":{"x":0,"y":0},"features":[1]}]}`},
+		{name: "track_ok", method: "POST", path: "/v1/track", body: marshal(trackOK)},
+		{name: "track_no_paths", method: "POST", path: "/v1/track", body: `{"model":"imu-test","paths":[]}`},
+		{name: "track_bad_features", method: "POST", path: "/v1/track", body: `{"model":"imu-test","paths":[{"start":{"x":0,"y":0},"features":[1,2,3]}]}`},
+		{name: "track_unknown_model", method: "POST", path: "/v1/track", body: `{"model":"nope","paths":[{"start":{"x":0,"y":0},"features":[1]}]}`},
 
 		// Sessions: create, append, fix, introspect, conflict, delete.
-		{"session_create", "POST", "/v1/sessions/golden-dev/segments", marshal(SessionSegmentsRequest{
+		{name: "session_create", method: "POST", path: "/v1/sessions/golden-dev/segments", body: marshal(SessionSegmentsRequest{
 			Model: "imu-test", Start: &XY{X: 12, Y: 24}, Window: 2,
 		})},
-		{"session_append", "POST", "/v1/sessions/golden-dev/segments", marshal(SessionSegmentsRequest{
+		{name: "session_append", method: "POST", path: "/v1/sessions/golden-dev/segments", body: marshal(SessionSegmentsRequest{
 			Features: seg,
 		})},
-		{"session_fix", "POST", "/v1/sessions/golden-dev/segments", marshal(SessionSegmentsRequest{
+		{name: "session_fix", method: "POST", path: "/v1/sessions/golden-dev/segments", body: marshal(SessionSegmentsRequest{
 			Features: seg, WiFiModel: "wifi-test", Fingerprint: scan,
 		})},
-		{"session_get", "GET", "/v1/sessions/golden-dev", ""},
-		{"session_model_conflict", "POST", "/v1/sessions/golden-dev/segments", marshal(SessionSegmentsRequest{
+		{name: "session_get", method: "GET", path: "/v1/sessions/golden-dev"},
+		{name: "session_model_conflict", method: "POST", path: "/v1/sessions/golden-dev/segments", body: marshal(SessionSegmentsRequest{
 			Model: "other-model",
 		})},
-		{"session_create_no_model", "POST", "/v1/sessions/golden-new/segments", marshal(SessionSegmentsRequest{
+		{name: "session_create_no_model", method: "POST", path: "/v1/sessions/golden-new/segments", body: marshal(SessionSegmentsRequest{
 			Start: &XY{},
 		})},
-		{"session_create_no_origin", "POST", "/v1/sessions/golden-new/segments", marshal(SessionSegmentsRequest{
+		{name: "session_create_no_origin", method: "POST", path: "/v1/sessions/golden-new/segments", body: marshal(SessionSegmentsRequest{
 			Model: "imu-test", Features: seg,
 		})},
-		{"session_bad_multiple", "POST", "/v1/sessions/golden-dev/segments", marshal(SessionSegmentsRequest{
+		{name: "session_bad_multiple", method: "POST", path: "/v1/sessions/golden-dev/segments", body: marshal(SessionSegmentsRequest{
 			Features: seg[:segDim-1],
 		})},
-		{"session_fingerprint_no_model", "POST", "/v1/sessions/golden-dev/segments", marshal(SessionSegmentsRequest{
+		{name: "session_fingerprint_no_model", method: "POST", path: "/v1/sessions/golden-dev/segments", body: marshal(SessionSegmentsRequest{
 			Fingerprint: scan,
 		})},
-		{"session_delete", "DELETE", "/v1/sessions/golden-dev", ""},
-		{"session_delete_missing", "DELETE", "/v1/sessions/golden-dev", ""},
-		{"session_get_missing", "GET", "/v1/sessions/golden-dev", ""},
+		{name: "session_delete", method: "DELETE", path: "/v1/sessions/golden-dev"},
+		{name: "session_delete_missing", method: "DELETE", path: "/v1/sessions/golden-dev"},
+		{name: "session_get_missing", method: "GET", path: "/v1/sessions/golden-dev"},
 
 		// Listings.
-		{"models", "GET", "/v1/models", ""},
+		{name: "models", method: "GET", path: "/v1/models"},
 	}
+}
+
+// goldenDialectCases are the shapes the two dialects answer differently
+// beyond the request ID: the partial-commit response and the drain
+// rejection. prefix is "/v1" or "/v2". The drain case goes last.
+func goldenDialectCases(t *testing.T, prefix string) []goldenCase {
+	t.Helper()
+	fixtures(t)
+	seg := imuDS.Test[0].Features[:imuModel.SegmentDim()]
+	create, err := json.Marshal(SessionSegmentsRequest{Model: "imu-test", Start: &XY{X: 12, Y: 24}, Features: seg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []goldenCase{
+		// The session is created, then its first step finds the deadline
+		// gone: the committed prefix (none) rides along with the error.
+		{name: "session_partial_commit", method: "POST", path: prefix + "/sessions/golden-partial/segments", body: string(create), ctx: expired},
+		{name: "draining", method: "POST", path: prefix + "/localize", body: `{"model":"wifi-test","fingerprints":[[0.1]]}`, drain: true},
+	}
+}
+
+// goldenV2Cases are the /v2 twins of every /v1 case plus the /v2-only
+// shapes.
+func goldenV2Cases(t *testing.T) []goldenCase {
+	t.Helper()
+	var cases []goldenCase
+	for _, tc := range goldenCases(t) {
+		tc.path = "/v2" + strings.TrimPrefix(tc.path, "/v1")
+		cases = append(cases, tc)
+	}
+	marshal := func(v any) string {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	segDim := imuModel.SegmentDim()
+	seg := imuDS.Test[0].Features[:segDim]
+	localize := marshal(LocalizeRequest{Model: "wifi-test", Fingerprints: [][]float64{wifiDS.Test[0].Features}})
+	track := marshal(TrackRequest{Model: "imu-test", Paths: []TrackPath{{Features: seg}}})
+	deadline := func(v string) map[string]string { return map[string]string{"X-Deadline-Ms": v} }
+	stream := func(lines ...string) string { return strings.Join(lines, "\n") + "\n" }
+	open := marshal(streamOpen{SessionSegmentsRequest: SessionSegmentsRequest{Model: "imu-test", Start: &XY{X: 3, Y: 4}}})
+
+	cases = append(cases, []goldenCase{
+		// Deadlines: header, body field, both malformed, and expiry on
+		// every inference operation.
+		{name: "localize_deadline_header_ok", method: "POST", path: "/v2/localize", body: localize, header: deadline("60000")},
+		{name: "localize_deadline_body_ok", method: "POST", path: "/v2/localize",
+			body: `{"deadline_ms":60000,` + strings.TrimPrefix(localize, "{")},
+		{name: "localize_deadline_header_bad", method: "POST", path: "/v2/localize", body: localize, header: deadline("soon")},
+		{name: "localize_deadline_header_negative", method: "POST", path: "/v2/localize", body: localize, header: deadline("-1")},
+		{name: "localize_deadline_body_bad", method: "POST", path: "/v2/localize",
+			body: `{"model":"wifi-test","fingerprints":[[0.1]],"deadline_ms":-5}`},
+		{name: "localize_deadline_exceeded", method: "POST", path: "/v2/localize", body: localize, ctx: expired},
+		{name: "localize_canceled", method: "POST", path: "/v2/localize", body: localize, ctx: cancelled},
+		{name: "track_deadline_body_bad", method: "POST", path: "/v2/track",
+			body: `{"deadline_ms":-5,` + strings.TrimPrefix(track, "{")},
+		{name: "track_deadline_exceeded", method: "POST", path: "/v2/track", body: track, ctx: expired},
+		{name: "session_deadline_header_bad", method: "POST", path: "/v2/sessions/golden-new/segments",
+			body: marshal(SessionSegmentsRequest{Model: "imu-test", Start: &XY{}}), header: deadline("0")},
+
+		// Body limits and the strict decoder on the non-localize path.
+		{name: "localize_body_too_large", method: "POST", path: "/v2/localize", body: strings.Repeat(" ", maxBodyBytes+1)},
+		{name: "track_body_too_large", method: "POST", path: "/v2/track", body: strings.Repeat(" ", maxBodyBytes+1)},
+		{name: "track_bad_json", method: "POST", path: "/v2/track", body: `{not json`},
+		{name: "track_trailing_garbage", method: "POST", path: "/v2/track", body: track + ` extra`},
+		{name: "session_bad_json", method: "POST", path: "/v2/sessions/golden-new/segments", body: `{"model":`},
+
+		// Streaming: a three-line exchange ending in an error line, a
+		// named session, an unparseable line, and a refused open.
+		{name: "stream_exchange", method: "POST", path: "/v2/track/stream", body: stream(
+			open,
+			marshal(SessionSegmentsRequest{Features: seg}),
+			marshal(SessionSegmentsRequest{Features: seg[:segDim-1]}),
+		)},
+		{name: "stream_named", method: "POST", path: "/v2/track/stream", body: stream(
+			marshal(streamOpen{Session: "golden-stream", SessionSegmentsRequest: SessionSegmentsRequest{
+				Model: "imu-test", Start: &XY{X: 3, Y: 4}, Features: seg,
+			}}),
+		)},
+		{name: "stream_named_get", method: "GET", path: "/v2/sessions/golden-stream"},
+		{name: "stream_bad_line", method: "POST", path: "/v2/track/stream", body: stream(open, `{not json`)},
+		{name: "stream_unknown_model", method: "POST", path: "/v2/track/stream", body: stream(
+			marshal(streamOpen{SessionSegmentsRequest: SessionSegmentsRequest{Model: "nope", Start: &XY{}}}),
+		)},
+		{name: "stream_deadline_header_bad", method: "POST", path: "/v2/track/stream", body: stream(open), header: deadline("soon")},
+		{name: "stream_deadline_exceeded", method: "POST", path: "/v2/track/stream", body: stream(
+			open, marshal(SessionSegmentsRequest{Features: seg}),
+		), ctx: expired},
+
+		{name: "health", method: "GET", path: "/v2/health"},
+	}...)
+	cases = append(cases, goldenDialectCases(t, "/v2")...)
+	return append(cases,
+		goldenCase{name: "stream_draining", method: "POST", path: "/v2/track/stream", body: stream(open)},
+		goldenCase{name: "health_draining", method: "GET", path: "/v2/health"},
+	)
 }
 
 // newGoldenServer is newTestServer with pinned LoadedAt stamps so the
@@ -133,6 +259,35 @@ func newGoldenServer(t *testing.T) *Server {
 }
 
 func TestGoldenV1(t *testing.T) {
+	cases := goldenCases(t)
+	fp, err := json.Marshal(wifiDS.Test[0].Features)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, goldenCase{
+		// /v1 honours neither deadline carrier, malformed or not.
+		name: "localize_deadline_ignored", method: "POST", path: "/v1/localize",
+		body:   fmt.Sprintf(`{"model":"wifi-test","fingerprints":[%s],"deadline_ms":-5}`, fp),
+		header: map[string]string{"X-Deadline-Ms": "soon"},
+	})
+	runGolden(t, "", append(cases, goldenDialectCases(t, "/v1")...))
+}
+
+func TestGoldenV2(t *testing.T) {
+	runGolden(t, "v2_", goldenV2Cases(t))
+}
+
+// goldenVolatile matches the wall-clock and timing values in a pinned
+// body (health uptime; the /v2 models lifecycle block), each rewritten
+// to its key with a zero value.
+var goldenVolatile = regexp.MustCompile(`"(uptime_seconds|p99_pass_ms|since)":("[^"]*"|[0-9.e+-]+)`)
+
+// runGolden plays cases in order against one fresh server and compares
+// each exchange with testdata/golden/<prefix><name>.golden: status and
+// content type, the protocol headers a dialect may add, then the body.
+// The server-assigned request ID (unique per process) is rewritten to
+// REQ wherever it appears.
+func runGolden(t *testing.T, prefix string, cases []goldenCase) {
 	s := newGoldenServer(t)
 	dir := filepath.Join("testdata", "golden")
 	if *updateGolden {
@@ -140,8 +295,11 @@ func TestGoldenV1(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, tc := range goldenCases(t) {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, tc := range cases {
+		t.Run(prefix+tc.name, func(t *testing.T) {
+			if tc.drain {
+				s.StartDraining()
+			}
 			var req *http.Request
 			if tc.body != "" {
 				req = httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
@@ -149,11 +307,29 @@ func TestGoldenV1(t *testing.T) {
 			} else {
 				req = httptest.NewRequest(tc.method, tc.path, nil)
 			}
+			for k, v := range tc.header {
+				req.Header.Set(k, v)
+			}
+			if tc.ctx != nil {
+				ctx, cancel := tc.ctx()
+				defer cancel()
+				req = req.WithContext(ctx)
+			}
 			w := httptest.NewRecorder()
 			s.Handler().ServeHTTP(w, req)
 
-			got := fmt.Sprintf("%d %s\n%s", w.Code, w.Header().Get("Content-Type"), w.Body.Bytes())
-			file := filepath.Join(dir, tc.name+".golden")
+			got := fmt.Sprintf("%d %s\n", w.Code, w.Header().Get("Content-Type"))
+			for _, h := range []string{"X-Request-Id", "Retry-After"} {
+				if v := w.Header().Get(h); v != "" {
+					got += h + ": " + v + "\n"
+				}
+			}
+			got += w.Body.String()
+			if id := w.Header().Get("X-Request-Id"); id != "" {
+				got = strings.ReplaceAll(got, id, "REQ")
+			}
+			got = goldenVolatile.ReplaceAllString(got, `"$1":0`)
+			file := filepath.Join(dir, prefix+tc.name+".golden")
 			if *updateGolden {
 				if err := os.WriteFile(file, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
