@@ -14,30 +14,22 @@
 //	noble-retrain -state-dir state/ -models models/ -model demo-wifi \
 //	    -target active -policy-min-shadow 40 -policy-min-canary 40
 //
-// Daemon (periodic harvest plus drift/schedule triggering against a
-// live server's metrics):
+// This is the cron form of the loop; the daemon form is noble-serve's
+// in-process manager (-retrain-every / -retrain-max-error-delta), which
+// reads the drift evidence straight from its registry.
 //
-//	noble-retrain -state-dir state/ -models models/ -watch \
-//	    -metrics-url http://127.0.0.1:8080/metrics \
-//	    -max-error-delta 2 -min-samples 50 -every 24h
-//
-// The WAL scan is read-only, so both modes are safe against the live
-// server that owns the journal. Retrained bundles NEVER serve
+// The WAL scan is read-only, so a run is safe against the live server
+// that owns the journal. Retrained bundles NEVER serve
 // directly: publishing is the only write this tool performs against
 // the deployment, and promotion stays with the lifecycle controller.
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
 	"noble/internal/retrain"
@@ -55,12 +47,6 @@ func main() {
 	minFixes := flag.Int("min-fixes", 1, "refuse to retrain a model with fewer corpus fixes than this")
 	retention := flag.Duration("retention", 168*time.Hour, "drop corpus fixes older than this (0 keeps everything)")
 	maxFixes := flag.Int("max-fixes", 100000, "cap each model's corpus at the newest N fixes (0 = unbounded)")
-	watch := flag.Bool("watch", false, "run as a daemon: harvest every -interval and retrain on the drift/schedule triggers")
-	interval := flag.Duration("interval", 30*time.Second, "watch mode: harvest and trigger-evaluation period")
-	metricsURL := flag.String("metrics-url", "", "watch mode: a live noble-serve /metrics URL; feeds the drift trigger from the noble_lifecycle_* histograms")
-	maxErrDelta := flag.Float64("max-error-delta", 0, "watch mode: retrain when a model's rolling re-anchor error exceeds its promotion-time baseline by this many meters (0 disables)")
-	minSamples := flag.Int64("min-samples", 50, "watch mode: re-anchor scores needed past the baseline before the drift trigger may fire")
-	every := flag.Duration("every", 0, "watch mode: also retrain on this wall-clock schedule (0 disables)")
 	target := flag.String("target", "", "write a lifecycle.json sidecar with this promotion target (shadow, canary, or active; empty keeps the bundle's existing sidecar)")
 	polShadow := flag.Int64("policy-min-shadow", 0, "sidecar policy: mirrored samples a shadow needs before canary (0 = registry default)")
 	polCanary := flag.Int64("policy-min-canary", 0, "sidecar policy: canary evaluation window, in samples (0 = registry default)")
@@ -94,11 +80,6 @@ func main() {
 		log.Fatalf("unknown -target %q (want shadow, canary, or active)", *target)
 	}
 
-	policy := retrain.TriggerPolicy{
-		MaxErrorDeltaM: *maxErrDelta,
-		MinSamples:     *minSamples,
-		Every:          *every,
-	}
 	mgr := retrain.NewManager(retrain.ManagerConfig{
 		StateDir:    *stateDir,
 		ModelsDir:   *models,
@@ -106,21 +87,11 @@ func main() {
 		Retention:   *retention,
 		MaxPerModel: *maxFixes,
 		MinFixes:    *minFixes,
-		Trigger:     policy,
-		Samples:     sampleSource(*metricsURL, *corpusDir),
 		Lifecycle:   spec,
 		Logf:        log.Printf,
 	})
 
-	if *watch {
-		log.Printf("watching %s every %v (trigger: %s)", *stateDir, *interval, policy.Describe())
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		mgr.Run(ctx, *interval)
-		return
-	}
-
-	// One-shot: harvest, then retrain each target. An empty corpus is a
+	// Harvest, then retrain each target. An empty corpus is a
 	// hard failure — it means the WAL holds no fingerprint-carrying
 	// fixes (or the wrong -state-dir), and every downstream step would
 	// silently train on seed data alone.
@@ -137,9 +108,11 @@ func main() {
 		return
 	}
 
-	targets, err := resolveTargets(*modelFlag, *models, *corpusDir)
-	if err != nil {
-		log.Fatal(err)
+	// The bundles to retrain: the -model list, or every corpus model
+	// with a retrainable wifi bundle on disk.
+	targets := mgr.Targets()
+	if *modelFlag != "" {
+		targets = strings.Split(*modelFlag, ",")
 	}
 	if len(targets) == 0 {
 		log.Fatal("no retrainable wifi bundles with corpus fixes (pass -model to pick explicitly)")
@@ -153,59 +126,4 @@ func main() {
 		fmt.Printf("retrained %s: %d seed + %d harvested samples, mean %.2f m, published to %s (awaiting promotion from shadow)\n",
 			model, res.SeedSamples, res.UsedFixes, res.MeanErrM, res.BundlePath)
 	}
-}
-
-// sampleSource feeds the drift trigger. With a metrics URL the samples
-// come from the live server's noble_lifecycle_* histograms; without
-// one (schedule-only watching), each corpus model gets an empty sample
-// so the wall-clock trigger still tracks it.
-func sampleSource(metricsURL, corpusDir string) func() []retrain.Sample {
-	if metricsURL != "" {
-		return func() []retrain.Sample {
-			samples, err := retrain.ScrapeLifecycle(metricsURL)
-			if err != nil {
-				log.Printf("scrape %s: %v", metricsURL, err)
-				return nil
-			}
-			return samples
-		}
-	}
-	return func() []retrain.Sample {
-		c, err := retrain.OpenCorpus(corpusDir)
-		if err != nil {
-			return nil
-		}
-		var out []retrain.Sample
-		for _, m := range c.Models() {
-			out = append(out, retrain.Sample{Model: m})
-		}
-		return out
-	}
-}
-
-// resolveTargets picks the bundles to retrain: the -model list, or
-// every corpus model with a retrainable wifi bundle on disk.
-func resolveTargets(modelFlag, modelsDir, corpusDir string) ([]string, error) {
-	if modelFlag != "" {
-		return strings.Split(modelFlag, ","), nil
-	}
-	c, err := retrain.OpenCorpus(corpusDir)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, m := range c.Models() {
-		raw, err := os.ReadFile(filepath.Join(modelsDir, m, "manifest.json"))
-		if err != nil {
-			continue
-		}
-		var man serve.Manifest
-		if err := json.Unmarshal(raw, &man); err != nil {
-			continue
-		}
-		if man.Kind == serve.KindWiFi && man.WiFi != nil {
-			out = append(out, m)
-		}
-	}
-	return out, nil
 }

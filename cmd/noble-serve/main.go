@@ -347,8 +347,8 @@ func main() {
 	// POST /admin/retrain/{model} or the noble-retrain CLI drive it; with
 	// -retrain-every / -retrain-max-error-delta the trigger loop below
 	// harvests and retrains on its own. Samples come straight from the
-	// registry (no scrape hop), and Reload stages a fresh publish without
-	// waiting for the directory watcher.
+	// registry, and Reload stages a fresh publish without waiting for the
+	// directory watcher.
 	var retrainMgr *retrain.Manager
 	if *stateDir != "" {
 		corpusDir := *retrainCorpus

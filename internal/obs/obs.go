@@ -71,10 +71,9 @@ type Span struct {
 	Rows  int    // total rows in the coalesced pass, batch_pass spans only
 }
 
-// maxSpans caps one trace's span count. Request/response traces stay
-// far below it; the cap exists for the long-lived NDJSON stream, where
-// one connection is one trace — past the cap spans are counted, not
-// stored, so a day-long stream cannot grow without bound.
+// maxSpans caps one trace's span count: past it spans are counted, not
+// stored, so no request — however many segments it carries — can grow a
+// trace without bound.
 const maxSpans = 512
 
 // Trace is one request's span record. The zero value is not used;

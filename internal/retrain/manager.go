@@ -33,8 +33,7 @@ type ManagerConfig struct {
 	// manager manual-only (admin endpoint / CLI kicks).
 	Trigger TriggerPolicy
 	// Samples feeds the trigger (nil disables the automatic loop even
-	// if Trigger is set). In-process this snapshots the registry;
-	// out-of-process it scrapes /metrics.
+	// if Trigger is set): noble-serve snapshots its registry.
 	Samples func() []Sample
 
 	// Lifecycle, when set, is written as the republished bundle's
@@ -266,6 +265,12 @@ func (m *Manager) targetsFor(model string) []string {
 	if m.retrainable(model) {
 		return []string{model}
 	}
+	return m.Targets()
+}
+
+// Targets lists the retrainable bundles holding corpus fixes as of the
+// last harvest, sorted.
+func (m *Manager) Targets() []string {
 	m.mu.Lock()
 	counts := m.corpusFixes
 	m.mu.Unlock()
@@ -293,8 +298,8 @@ func (m *Manager) retrainable(model string) bool {
 }
 
 // Run drives Tick on the given interval until ctx is done — the
-// automatic half of the loop, started by noble-serve (when a retrain
-// policy is configured) or by noble-retrain -watch.
+// automatic half of the loop, started by noble-serve when a retrain
+// policy is configured.
 func (m *Manager) Run(ctx context.Context, interval time.Duration) {
 	t := time.NewTicker(interval)
 	defer t.Stop()

@@ -2,7 +2,6 @@ package retrain
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -25,11 +24,10 @@ type TriggerPolicy struct {
 	Every time.Duration
 }
 
-// Sample is one observation of a model's ACTIVE generation, taken from
-// the noble_lifecycle_reanchor_error_meters histogram (its cumulative
-// _count/_sum) plus the generation number from noble_model_info — via
-// an HTTP /metrics scrape (ScrapeLifecycle) or directly from the
-// registry in process.
+// Sample is one observation of a model's ACTIVE generation: the
+// cumulative count and sum behind its
+// noble_lifecycle_reanchor_error_meters histogram plus its generation
+// number, read directly from the registry.
 type Sample struct {
 	Model      string
 	Generation int     // active generation identity; a change resets the baseline
@@ -92,8 +90,8 @@ func NewTrigger(p TriggerPolicy) *Trigger {
 	return &Trigger{policy: p, models: map[string]*baseline{}}
 }
 
-// Observe folds one scrape into the trigger state and returns at most
-// one Decision per model:
+// Observe folds one round of samples into the trigger state and
+// returns at most one Decision per model:
 //
 //   - A model's first observation (or its first after the active
 //     generation changed) establishes the baseline — promotion-time
@@ -110,7 +108,7 @@ func NewTrigger(p TriggerPolicy) *Trigger {
 //
 // Firing (either reason) re-baselines the model at the current
 // cumulative state, so one drift episode yields one retrain, not one
-// per scrape.
+// per round.
 func (t *Trigger) Observe(now time.Time, samples []Sample) []Decision {
 	var out []Decision
 	for _, s := range samples {
@@ -221,15 +219,4 @@ func (p TriggerPolicy) Describe() string {
 		return "manual only"
 	}
 	return parts
-}
-
-// Models returns the watched model names, sorted (for deterministic
-// logs).
-func (t *Trigger) Models() []string {
-	out := make([]string, 0, len(t.models))
-	for m := range t.models {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
 }

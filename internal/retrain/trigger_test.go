@@ -1,7 +1,6 @@
 package retrain
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -118,38 +117,5 @@ func TestScheduleTrigger(t *testing.T) {
 	}
 	if d := tr.Observe(t0.Add(151*time.Minute), []Sample{obs(0, 0)}); len(d) != 1 {
 		t.Fatalf("schedule did not resume after NoteRun: %+v", d)
-	}
-}
-
-// TestParseLifecycleMetrics: the scraper reduces the exposition to
-// active-generation samples, ignoring staged stages, malformed lines,
-// and unrelated families.
-func TestParseLifecycleMetrics(t *testing.T) {
-	exposition := strings.Join([]string{
-		`# HELP noble_lifecycle_reanchor_error_meters Live re-anchor error.`,
-		`# TYPE noble_lifecycle_reanchor_error_meters histogram`,
-		`noble_lifecycle_reanchor_error_meters_sum{model="demo-imu",stage="active"} 123.5`,
-		`noble_lifecycle_reanchor_error_meters_count{model="demo-imu",stage="active"} 47`,
-		`noble_lifecycle_reanchor_error_meters_sum{model="demo-imu",stage="shadow"} 9.9`,
-		`noble_lifecycle_reanchor_error_meters_count{model="demo-imu",stage="shadow"} 3`,
-		`noble_model_info{name="demo-imu",kind="imu",stage="active",generation="4"} 1`,
-		`noble_model_info{name="demo-wifi",kind="wifi",stage="active",generation="2"} 1`,
-		`noble_requests_total{route="localize"} 9000`,
-		`garbage line without a value`,
-	}, "\n")
-	samples, err := ParseLifecycleMetrics(strings.NewReader(exposition))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 2 {
-		t.Fatalf("%d samples, want 2: %+v", len(samples), samples)
-	}
-	imu := samples[0]
-	if imu.Model != "demo-imu" || imu.Generation != 4 || imu.Scores != 47 || imu.ErrorSumM != 123.5 {
-		t.Fatalf("imu sample: %+v", imu)
-	}
-	wifi := samples[1]
-	if wifi.Model != "demo-wifi" || wifi.Generation != 2 || wifi.Scores != 0 {
-		t.Fatalf("wifi sample: %+v", wifi)
 	}
 }

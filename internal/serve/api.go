@@ -1,32 +1,37 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"time"
 
 	"noble/internal/geo"
 	"noble/internal/obs"
 )
 
-// This file is the /v1 HTTP adapter (plus the shared transport
-// plumbing): handlers decode the legacy wire shapes, call the Engine,
-// and re-encode its typed results and errors into the original free-text
-// protocol byte-for-byte — pinned by the golden-file tests in
-// golden_test.go. All validation and inference logic lives in the
-// Engine; nothing here inspects models or sessions directly.
+// This file is the HTTP adapter: one table of operations over the
+// Engine, mounted once per wire dialect. An operation decodes its
+// request, calls the Engine and encodes the typed result, never asking
+// which protocol version it serves: what /v1 and /v2 answer differently
+// lives on the dialect type, and golden files pin the bytes of both.
+// All validation and inference logic lives in the Engine.
 
-// LocalizeRequest is the POST /v1/localize body: one or more normalized
-// fingerprints (values in [0,1], as produced by radio.Normalize) for one
-// named Wi-Fi model. A typical device sends exactly one fingerprint; the
-// server's micro-batcher coalesces across devices.
+// LocalizeRequest is the POST /v{1,2}/localize body: one or more
+// normalized fingerprints (values in [0,1], as produced by
+// radio.Normalize) for one named Wi-Fi model, plus an optional
+// per-request deadline the dialect may honour. A typical device sends
+// exactly one fingerprint; the server's micro-batcher coalesces across
+// devices.
 type LocalizeRequest struct {
 	Model        string      `json:"model"`
 	Fingerprints [][]float64 `json:"fingerprints"`
+	DeadlineMs   int64       `json:"deadline_ms,omitempty"`
 }
 
 // Position is a decoded localization result.
@@ -38,10 +43,13 @@ type Position struct {
 	Floor    int     `json:"floor"`
 }
 
-// LocalizeResponse answers /v1/localize in request order.
+// LocalizeResponse answers localize in request order. RequestID is
+// empty — and omitted — under a dialect that assigns none; the same
+// holds for every response shape below.
 type LocalizeResponse struct {
-	Model   string     `json:"model"`
-	Results []Position `json:"results"`
+	RequestID string     `json:"request_id,omitempty"`
+	Model     string     `json:"model"`
+	Results   []Position `json:"results"`
 }
 
 // TrackPath is one IMU path to decode: the anchor position plus the
@@ -58,10 +66,13 @@ type XY struct {
 	Y float64 `json:"y"`
 }
 
-// TrackRequest is the POST /v1/track body.
+func xy(p geo.Point) XY { return XY{X: p.X, Y: p.Y} }
+
+// TrackRequest is the POST /v{1,2}/track body.
 type TrackRequest struct {
-	Model string      `json:"model"`
-	Paths []TrackPath `json:"paths"`
+	Model      string      `json:"model"`
+	Paths      []TrackPath `json:"paths"`
+	DeadlineMs int64       `json:"deadline_ms,omitempty"`
 }
 
 // TrackResult is one decoded path end.
@@ -71,15 +82,44 @@ type TrackResult struct {
 	Displacement XY  `json:"displacement"`
 }
 
-// TrackResponse answers /v1/track in request order.
+// TrackResponse answers track in request order.
 type TrackResponse struct {
-	Model   string        `json:"model"`
-	Results []TrackResult `json:"results"`
+	RequestID string        `json:"request_id,omitempty"`
+	Model     string        `json:"model"`
+	Results   []TrackResult `json:"results"`
 }
 
-// apiError is the /v1 JSON error body.
+// modelsResponse answers the models listing. Its key order (like
+// deleteResponse's) is the alphabetical one /v2 has always written.
+type modelsResponse struct {
+	Models    []ModelInfo `json:"models"`
+	RequestID string      `json:"request_id,omitempty"`
+}
+
+// healthResponse answers /v2/health.
+type healthResponse struct {
+	RequestID     string `json:"request_id"`
+	Status        string `json:"status"`
+	Models        int    `json:"models"`
+	Batching      bool   `json:"batching"`
+	Sessions      int    `json:"sessions"`
+	UptimeSeconds int64  `json:"uptime_seconds"`
+	Draining      bool   `json:"draining,omitempty"`
+}
+
+// apiError is the free-text JSON error body (/v1, and the debug and
+// admin planes).
 type apiError struct {
 	Error string `json:"error"`
+}
+
+// errorObject is the structured error: machine-readable code, message,
+// and the request ID it belongs to. As a failed request's whole body it
+// is wrapped in an envelope, {"error":{...}}.
+type errorObject struct {
+	Code      Code   `json:"code"`
+	Message   string `json:"message"`
+	RequestID string `json:"request_id,omitempty"`
 }
 
 // Request limits: the serving port is open to fleets of devices, so a
@@ -91,17 +131,136 @@ const (
 	maxPathsPerRequest = 64      // per track request
 )
 
+// dialect is one version of the wire protocol. It owns every difference
+// between the versions and nothing else: whether a request gets a
+// server-assigned ID (echoed in X-Request-Id and in bodies), whether
+// its deadline carriers are honoured, how an error is written, and
+// which models listing it sees.
+type dialect struct {
+	version      int    // N of the /vN route prefix
+	prefix       string // route prefix
+	metricPrefix string // prepended to an operation's endpoint label
+}
+
+// dialects are the protocol versions served: /v1, the original
+// free-text protocol, frozen byte-for-byte; and /v2, with structured
+// errors, request IDs, deadlines and streaming.
+var dialects = []dialect{
+	{version: 1, prefix: "/v1"},
+	{version: 2, prefix: "/v2", metricPrefix: "v2_"},
+}
+
+// structured reports whether the dialect has the /v2 features.
+func (d dialect) structured() bool { return d.version >= 2 }
+
+// requestID assigns the request's ID and echoes it in X-Request-Id; ""
+// when the dialect has none.
+func (d dialect) requestID(e *Engine, w http.ResponseWriter) string {
+	if !d.structured() {
+		return ""
+	}
+	id := e.NextRequestID()
+	w.Header().Set("X-Request-Id", id)
+	return id
+}
+
+// context derives the per-request context. A structured dialect takes
+// the stricter of the X-Deadline-Ms header and the body's deadline_ms
+// field (either may be absent), and rejects a malformed one rather than
+// ignoring it — a device that thinks it set a deadline must not wait
+// forever. /v1 never had deadlines and reads neither.
+func (d dialect) context(r *http.Request, bodyMs int64) (context.Context, context.CancelFunc, *Error) {
+	if !d.structured() {
+		return r.Context(), func() {}, nil
+	}
+	ms := int64(0)
+	if h := r.Header.Get("X-Deadline-Ms"); h != "" {
+		v, err := strconv.ParseInt(h, 10, 64)
+		if err != nil || v <= 0 {
+			return nil, nil, errf(CodeBadRequest, http.StatusBadRequest,
+				"invalid X-Deadline-Ms %q: want a positive integer of milliseconds", h)
+		}
+		ms = v
+	}
+	if bodyMs < 0 {
+		return nil, nil, errf(CodeBadRequest, http.StatusBadRequest,
+			"invalid deadline_ms %d: want a positive integer of milliseconds", bodyMs)
+	}
+	if bodyMs > 0 && (ms == 0 || bodyMs < ms) {
+		ms = bodyMs
+	}
+	if ms == 0 {
+		return r.Context(), func() {}, nil
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), time.Duration(ms)*time.Millisecond)
+	return ctx, cancel, nil
+}
+
+// writeError answers a failed request: the envelope, or /v1's free-text
+// body under the same status.
+func (d dialect) writeError(w http.ResponseWriter, reqID string, e *Error) {
+	if !d.structured() {
+		fail(w, e.Status, "%s", e.Message)
+		return
+	}
+	writeEnvelope(w, reqID, e)
+}
+
+// inlineError is the value of the "error" key on a session response
+// that carries committed steps beside a failure: the structured object,
+// or /v1's bare message.
+func (d dialect) inlineError(reqID string, e *Error) any {
+	if !d.structured() {
+		return e.Message
+	}
+	return &errorObject{Code: e.Code, Message: e.Message, RequestID: reqID}
+}
+
+// models is the listing the dialect exposes. The structured one is
+// lifecycle-aware: every live generation — staged shadow/canary
+// candidates included — each with its lifecycle block (stage, target,
+// promotion policy, and the live evidence the controller weighs). /v1
+// keeps the legacy shape: active generations only.
+func (d dialect) models(e *Engine) []ModelInfo {
+	if !d.structured() {
+		return e.Models()
+	}
+	return e.ModelsLifecycle()
+}
+
+// operation is one row of the serving surface: where it is mounted
+// under a dialect's prefix, the endpoint label its requests are counted
+// and traced under, and the handler, written once against the Engine.
+type operation struct {
+	method, path string
+	metric       string // endpoint label, after the dialect's prefix
+	since        int    // first dialect version that has the operation
+	gated        bool   // new inference work: refused while the server drains
+	longLived    bool   // one connection carries many exchanges, each traced on its own
+	handle       func(*exchange)
+}
+
+// operations is the whole versioned surface.
+var operations = []operation{
+	{method: "POST", path: "/localize", metric: "localize", since: 1, gated: true, handle: opLocalize},
+	{method: "POST", path: "/track", metric: "track", since: 1, gated: true, handle: opTrack},
+	{method: "POST", path: "/track/stream", metric: "track_stream", since: 2, gated: true, longLived: true, handle: opTrackStream},
+	{method: "POST", path: "/sessions/{id}/segments", metric: "sessions", since: 1, gated: true, handle: opSessionAppend},
+	{method: "GET", path: "/sessions/{id}", metric: "sessions_get", since: 1, handle: opSessionGet},
+	{method: "DELETE", path: "/sessions/{id}", metric: "sessions_delete", since: 1, handle: opSessionDelete},
+	{method: "GET", path: "/models", metric: "models", since: 1, handle: opModels},
+	{method: "GET", path: "/health", metric: "health", since: 2, handle: opHealth},
+}
+
 // routes installs all handlers on the server mux.
 func (s *Server) routes() {
-	// /v1: the legacy free-text protocol.
-	s.mux.HandleFunc("POST /v1/localize", s.instrument("localize", s.gate(s.handleLocalize)))
-	s.mux.HandleFunc("POST /v1/track", s.instrument("track", s.gate(s.handleTrack)))
-	s.mux.HandleFunc("POST /v1/sessions/{id}/segments", s.instrument("sessions", s.gate(s.handleSessionSegments)))
-	s.mux.HandleFunc("GET /v1/sessions/{id}", s.instrument("sessions_get", s.handleSessionGet))
-	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.instrument("sessions_delete", s.handleSessionDelete))
-	s.mux.HandleFunc("GET /v1/models", s.instrument("models", s.handleModels))
-	// /v2: structured errors, request IDs, deadlines, streaming.
-	s.routesV2()
+	for _, d := range dialects {
+		for _, o := range operations {
+			if d.version >= o.since {
+				s.mount(d, o)
+			}
+		}
+	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	// /debug: the introspection plane. Traces and runtime are cheap JSON
@@ -115,41 +274,44 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 }
 
-// gate rejects new inference work while the server drains. The 503 body
-// is the structured /v2 envelope on every protocol version: /v1 never
-// had drain semantics, so no legacy client depends on its shape, and a
-// machine-readable code is strictly more useful to a retrying fleet.
-func (s *Server) gate(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.engine.Draining() {
-			w.Header().Set("Retry-After", "1")
-			writeEnvelope(w, s.engine.NextRequestID(),
-				errf(CodeDraining, http.StatusServiceUnavailable, "server is draining"))
-			return
-		}
-		h(w, r)
-	}
-}
-
-// instrument wraps a handler with request counting, latency recording,
-// and the request trace: every instrumented request gets a Trace on its
-// context (honoring a client-supplied X-Trace-Id, echoed back on the
-// response) whose spans the handler, the batcher, and the journal glue
-// fill in; the trace finishes with the response status when the handler
-// returns.
-func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
+// mount installs one operation under one dialect, wrapped with what
+// every row shares: request counting and latency, the request trace
+// (honoring a client-supplied X-Trace-Id, echoed back on the response)
+// whose spans the operation, the batcher and the journal glue fill in,
+// the drain gate, and the request ID.
+func (s *Server) mount(d dialect, o operation) {
+	name := d.metricPrefix + o.metric
+	s.mux.HandleFunc(o.method+" "+d.prefix+o.path, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		cw := &codeWriter{ResponseWriter: w, code: http.StatusOK}
 		if t := s.engine.Tracer(); t != nil {
 			ctx, tr := t.Start(r.Context(), name, r.Header.Get("X-Trace-Id"))
 			w.Header().Set("X-Trace-Id", tr.ID())
 			r = r.WithContext(ctx)
-			defer func() { tr.Finish(cw.code) }()
+			// A long-lived connection is not a request: finishing its
+			// trace would record the connection's lifetime as a "total".
+			// The trace only names the connection; the operation starts
+			// and finishes one per exchange (see opTrackStream).
+			if !o.longLived {
+				defer func() { tr.Finish(cw.code) }()
+			}
 		}
-		h(cw, r)
+		if o.gated && s.engine.Draining() {
+			// The 503 is the structured envelope under every dialect: /v1
+			// never had drain semantics, so no legacy client depends on its
+			// shape, and a machine-readable code is strictly more useful to
+			// a retrying fleet.
+			id := s.engine.NextRequestID()
+			cw.Header().Set("Retry-After", "1")
+			cw.Header().Set("X-Request-Id", id)
+			writeEnvelope(cw, id, errf(CodeDraining, http.StatusServiceUnavailable, "server is draining"))
+		} else {
+			x := &exchange{s: s, d: d, w: cw, r: r, metric: name, reqID: d.requestID(s.engine, cw)}
+			obs.SetRequestID(r.Context(), x.reqID)
+			o.handle(x)
+		}
 		s.metrics.Observe(name, cw.code, time.Since(start))
-	}
+	})
 }
 
 // codeWriter captures the status code written by a handler.
@@ -164,8 +326,86 @@ func (w *codeWriter) WriteHeader(code int) {
 }
 
 // Unwrap lets http.ResponseController reach the underlying writer's
-// Flush (the /v2 NDJSON stream needs it through the instrument wrapper).
+// Flush (the NDJSON stream needs it through the wrapper).
 func (w *codeWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+// exchange is one request being answered under one dialect: what an
+// operation needs to decode, answer and fail it. The helpers open and
+// close the decode and encode spans themselves, so no return path of an
+// operation can leak one.
+type exchange struct {
+	s      *Server
+	d      dialect
+	w      http.ResponseWriter
+	r      *http.Request
+	metric string // endpoint label, for the traces a long-lived operation starts
+	reqID  string // "" when the dialect assigns none
+}
+
+// decode reads the size-capped JSON request body into v, rejecting
+// trailing garbage, and answers the failure itself: an oversized body
+// is 413, anything else malformed is 400. Localize, the production hot
+// path, is read whole for the hand-rolled scanner (fastjson.go), with
+// encoding/json as the behavior-defining fallback for everything the
+// scanner does not recognize.
+//
+//vet:strictdecode-impl
+func (x *exchange) decode(v any) bool {
+	span := obs.Begin(x.r.Context(), obs.StageDecode)
+	defer span.End()
+	body := http.MaxBytesReader(x.w, x.r.Body, maxBodyBytes)
+	if req, ok := v.(*LocalizeRequest); ok {
+		data, err := io.ReadAll(body)
+		if err != nil {
+			x.fail(bodyError(err, "reading request: %v", err))
+			return false
+		}
+		if parseLocalize(data, req) {
+			return true
+		}
+		*req = LocalizeRequest{}
+		if err := json.Unmarshal(data, req); err != nil {
+			x.fail(errf(CodeBadBody, http.StatusBadRequest, "decoding request: %v", err))
+			return false
+		}
+		return true
+	}
+	dec := json.NewDecoder(body)
+	if err := dec.Decode(v); err != nil {
+		x.fail(bodyError(err, "decoding request: %v", err))
+		return false
+	}
+	if err := dec.Decode(new(json.RawMessage)); !errors.Is(err, io.EOF) {
+		x.fail(bodyError(err, "trailing data after JSON body"))
+		return false
+	}
+	return true
+}
+
+// bodyError classifies a request-body read/decode failure: an oversized
+// body keeps its 413, anything else is the client's malformed 400.
+func bodyError(err error, format string, args ...any) *Error {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return errf(CodeBodyTooLarge, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
+	}
+	return errf(CodeBadBody, http.StatusBadRequest, format, args...)
+}
+
+// reply encodes v with the given status.
+func (x *exchange) reply(status int, v any) {
+	span := obs.Begin(x.r.Context(), obs.StageEncode)
+	defer span.End()
+	if resp, ok := v.(*LocalizeResponse); ok {
+		x.w.Header().Set("Content-Type", "application/json")
+		x.w.Write(appendLocalize(nil, resp))
+		return
+	}
+	writeJSON(x.w, status, v)
+}
+
+// fail answers with an Engine (or adapter) error in the dialect's shape.
+func (x *exchange) fail(err error) { x.d.writeError(x.w, x.reqID, AsError(err)) }
 
 // writeJSON encodes v with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -174,117 +414,81 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// fail writes a /v1 JSON error body.
+// fail writes a free-text JSON error body.
 func fail(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
-// failEngine maps an Engine error onto the /v1 wire: its suggested
-// status with the free-text message as the body.
-func failEngine(w http.ResponseWriter, err error) {
-	e := AsError(err)
-	fail(w, e.Status, "%s", e.Message)
+// writeEnvelope writes a structured error response.
+func writeEnvelope(w http.ResponseWriter, reqID string, e *Error) {
+	writeJSON(w, e.Status, map[string]errorObject{"error": {Code: e.Code, Message: e.Message, RequestID: reqID}})
 }
 
-// failBodyError maps a request-body read/decode error onto the /v1
-// wire: only an oversized body (*http.MaxBytesError) is 413; anything
-// else is the client's malformed request, reported as 400 with the
-// given message. Classification is shared with /v2 (see bodyError).
-func failBodyError(w http.ResponseWriter, err error, format string, args ...any) {
-	e := bodyError(err, format, args...)
-	fail(w, e.Status, "%s", e.Message)
-}
-
-// decodeStrict decodes a size-capped JSON request body into v, rejecting
-// trailing garbage, and writes the error response itself on failure: an
-// oversized body is 413, anything else malformed is 400.
-//
-//vet:strictdecode-impl
-func decodeStrict(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(v); err != nil {
-		failBodyError(w, err, "decoding request: %v", err)
-		return false
-	}
-	if err := dec.Decode(new(json.RawMessage)); !errors.Is(err, io.EOF) {
-		failBodyError(w, err, "trailing data after JSON body")
-		return false
-	}
-	return true
-}
-
-func (s *Server) handleLocalize(w http.ResponseWriter, r *http.Request) {
-	dec := obs.Begin(r.Context(), obs.StageDecode)
-	//vet:ignore strictdecode -- localize fast path: the body is read whole for the hand-rolled fastjson parser; MaxBytesReader keeps the 413 cap and bodyError keeps the typed mapping (pinned by the golden-file tests)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		dec.End()
-		failBodyError(w, err, "reading request: %v", err)
-		return
-	}
+func opLocalize(x *exchange) {
 	var req LocalizeRequest
-	if !parseLocalizeRequest(body, &req) {
-		req = LocalizeRequest{}
-		if err := json.Unmarshal(body, &req); err != nil {
-			dec.End()
-			fail(w, http.StatusBadRequest, "decoding request: %v", err)
-			return
-		}
-	}
-	dec.End()
-	preds, err := s.engine.Localize(r.Context(), LocalizeQuery{
-		Model:        req.Model,
-		Fingerprints: req.Fingerprints,
-	})
-	if err != nil {
-		failEngine(w, err)
+	if !x.decode(&req) {
 		return
 	}
-	enc := obs.Begin(r.Context(), obs.StageEncode)
-	resp := LocalizeResponse{Model: req.Model, Results: make([]Position, len(preds))}
-	for i, p := range preds {
-		resp.Results[i] = Position{
-			X: p.Pos.X, Y: p.Pos.Y,
-			Class: p.Class, Building: p.Building, Floor: p.Floor,
-		}
+	ctx, cancel, e := x.d.context(x.r, req.DeadlineMs)
+	if e != nil {
+		x.fail(e)
+		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(appendLocalizeResponse(nil, &resp))
-	enc.End()
+	defer cancel()
+	preds, err := x.s.engine.Localize(ctx, LocalizeQuery{Model: req.Model, Fingerprints: req.Fingerprints})
+	if err != nil {
+		x.fail(err)
+		return
+	}
+	resp := LocalizeResponse{RequestID: x.reqID, Model: req.Model, Results: make([]Position, len(preds))}
+	for i, p := range preds {
+		resp.Results[i] = Position{X: p.Pos.X, Y: p.Pos.Y, Class: p.Class, Building: p.Building, Floor: p.Floor}
+	}
+	x.reply(http.StatusOK, &resp)
 }
 
-func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
-	dec := obs.Begin(r.Context(), obs.StageDecode)
+func opTrack(x *exchange) {
 	var req TrackRequest
-	if !decodeStrict(w, r, &req) {
-		dec.End()
+	if !x.decode(&req) {
 		return
 	}
-	dec.End()
+	ctx, cancel, e := x.d.context(x.r, req.DeadlineMs)
+	if e != nil {
+		x.fail(e)
+		return
+	}
+	defer cancel()
 	q := TrackQuery{Model: req.Model, Paths: make([]PathQuery, len(req.Paths))}
 	for i, p := range req.Paths {
 		q.Paths[i] = PathQuery{Start: geo.Point{X: p.Start.X, Y: p.Start.Y}, Features: p.Features}
 	}
-	preds, err := s.engine.Track(r.Context(), q)
+	preds, err := x.s.engine.Track(ctx, q)
 	if err != nil {
-		failEngine(w, err)
+		x.fail(err)
 		return
 	}
-	enc := obs.Begin(r.Context(), obs.StageEncode)
-	resp := TrackResponse{Model: req.Model, Results: make([]TrackResult, len(preds))}
+	resp := TrackResponse{RequestID: x.reqID, Model: req.Model, Results: make([]TrackResult, len(preds))}
 	for i, p := range preds {
-		resp.Results[i] = TrackResult{
-			End:          XY{X: p.End.X, Y: p.End.Y},
-			Class:        p.Class,
-			Displacement: XY{X: p.Displacement.X, Y: p.Displacement.Y},
-		}
+		resp.Results[i] = TrackResult{End: xy(p.End), Class: p.Class, Displacement: xy(p.Displacement)}
 	}
-	writeJSON(w, http.StatusOK, resp)
-	enc.End()
+	x.reply(http.StatusOK, resp)
 }
 
-func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"models": s.engine.Models()})
+func opModels(x *exchange) {
+	x.reply(http.StatusOK, modelsResponse{Models: x.d.models(x.s.engine), RequestID: x.reqID})
+}
+
+func opHealth(x *exchange) {
+	h := x.s.engine.Health()
+	x.reply(http.StatusOK, healthResponse{
+		RequestID:     x.reqID,
+		Status:        h.Status,
+		Models:        h.Models,
+		Batching:      h.Batching,
+		Sessions:      h.Sessions,
+		UptimeSeconds: int64(h.Uptime.Seconds()),
+		Draining:      h.Draining,
+	})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

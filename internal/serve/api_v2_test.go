@@ -15,10 +15,23 @@ import (
 	"noble/internal/imu"
 )
 
+// v2SessionBody decodes a /v2 session body (or, embedded in
+// v2StreamLine, a stream line), whose inline error is the structured
+// object.
+type v2SessionBody struct {
+	SessionResponse
+	Error *errorObject `json:"error"`
+}
+
+type v2StreamLine struct {
+	Seq int `json:"seq"`
+	v2SessionBody
+}
+
 // decodeEnvelope parses a /v2 structured error body.
-func decodeEnvelope(t *testing.T, body []byte) v2Error {
+func decodeEnvelope(t *testing.T, body []byte) errorObject {
 	t.Helper()
-	var env v2Envelope
+	var env struct{ Error errorObject }
 	if err := json.Unmarshal(body, &env); err != nil {
 		t.Fatalf("body %q is not a /v2 error envelope: %v", body, err)
 	}
@@ -80,7 +93,7 @@ func TestV2LocalizeAndTrackHappyPath(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("localize: %d %s", w.Code, w.Body)
 	}
-	var lresp localizeResponseV2
+	var lresp LocalizeResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &lresp); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +113,7 @@ func TestV2LocalizeAndTrackHappyPath(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("track: %d %s", w.Code, w.Body)
 	}
-	var tresp trackResponseV2
+	var tresp TrackResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &tresp); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +193,7 @@ func TestV2SessionDeadlinePartialCommitIs504(t *testing.T) {
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504; body %s", w.Code, w.Body)
 	}
-	var resp sessionResponseV2
+	var resp v2SessionBody
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +211,7 @@ func TestV2SessionsLifecycle(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("create: %d %s", w.Code, w.Body)
 	}
-	var resp sessionResponseV2
+	var resp v2SessionBody
 	json.Unmarshal(w.Body.Bytes(), &resp)
 	if !resp.Created || resp.RequestID == "" || resp.Session != "v2dev" {
 		t.Fatalf("create response %+v", resp)
@@ -256,13 +269,13 @@ func TestV2TrackStream(t *testing.T) {
 		t.Fatalf("content type %q", ct)
 	}
 
-	var lines []streamLine
+	var lines []v2StreamLine
 	sc := bufio.NewScanner(bytes.NewReader(w.Body.Bytes()))
 	for sc.Scan() {
 		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
 			continue
 		}
-		var l streamLine
+		var l v2StreamLine
 		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
 			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
 		}
@@ -332,7 +345,7 @@ func TestV2TrackStreamErrorLine(t *testing.T) {
 	enc.Encode(streamOpen{SessionSegmentsRequest: SessionSegmentsRequest{Model: "nope", Start: &XY{}}})
 	w := httptest.NewRecorder()
 	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v2/track/stream", &buf))
-	var l streamLine
+	var l v2StreamLine
 	if err := json.Unmarshal(bytes.TrimSpace(w.Body.Bytes()), &l); err != nil {
 		t.Fatalf("bad error line %q: %v", w.Body, err)
 	}
@@ -376,7 +389,7 @@ func TestDrainRejectsNewCompletesInflight(t *testing.T) {
 	// Health still answers and reports the drain.
 	w := httptest.NewRecorder()
 	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v2/health", nil))
-	var h healthResponseV2
+	var h healthResponse
 	json.Unmarshal(w.Body.Bytes(), &h)
 	if w.Code != http.StatusOK || !h.Draining || h.Status != "draining" {
 		t.Fatalf("health during drain: %d %+v", w.Code, h)

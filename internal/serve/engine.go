@@ -24,10 +24,10 @@ import (
 // context-aware methods returning typed results and typed errors
 // (*Error, with machine-readable codes and suggested HTTP statuses).
 //
-// HTTP is just one adapter over it: the /v1 handlers map Engine errors
-// back to the legacy free-text bodies byte-for-byte, /v2 wraps them in
-// the structured envelope, and embedders (tests, other transports, the
-// NDJSON stream) call the Engine directly. Validation lives here, so
+// HTTP is just one adapter over it: its /v1 dialect writes Engine
+// errors as the legacy free-text bodies byte-for-byte, /v2 wraps them
+// in the structured envelope, and embedders (tests, other transports)
+// call the Engine directly. Validation lives here, so
 // every transport enforces identical limits with identical messages.
 type Engine struct {
 	reg         *Registry

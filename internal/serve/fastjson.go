@@ -5,32 +5,21 @@ import (
 	"unsafe"
 )
 
-// Hand-rolled JSON fast paths for the localize hot loop. At production
-// request rates the reflection-driven encoding/json machinery costs more
-// CPU than the batched forward pass itself (measured ~40% of server CPU
-// at 7k req/s), so the exact request shape
+// Hand-rolled JSON fast paths for localize: the exact request shape
 // {"model":"...","fingerprints":[[...],...]} is parsed by a small
-// scanner. Anything it does not recognize — escapes, unknown keys,
-// unexpected nesting — makes it bail out and the caller falls back to
-// encoding/json, keeping behavior identical for every valid request.
+// scanner and the response encoded without reflection. They stay because
+// the benchmark says so: short-circuited to encoding/json, localize_bulk
+// lost 6 of 6 alternating pairs (median throughput_ops_s -11 %,
+// cpu_ms_per_op +12 %, latency_p50_ms +16 %; DESIGN.md §4). Anything the
+// scanner does not recognize — escapes, unknown keys, unexpected
+// nesting — makes it bail to encoding/json, which defines behavior.
 
-// parseLocalizeRequest attempts the fast parse of data into req,
-// reporting whether it succeeded. On false the caller must re-parse with
-// encoding/json (req may be partially filled).
-func parseLocalizeRequest(data []byte, req *LocalizeRequest) bool {
-	return parseLocalizeFields(data, req, nil)
-}
-
-// parseLocalizeRequestV2 is the /v2 fast parse: the /v1 shape plus the
-// optional integer "deadline_ms" key.
-func parseLocalizeRequestV2(data []byte, req *localizeRequestV2) bool {
-	return parseLocalizeFields(data, &req.LocalizeRequest, &req.DeadlineMs)
-}
-
-// parseLocalizeFields is the shared scanner loop. deadlineMs non-nil
-// additionally accepts the /v2 "deadline_ms" key (integer values only —
-// anything else bails to the encoding/json fallback, which rejects it).
-func parseLocalizeFields(data []byte, req *LocalizeRequest, deadlineMs *int64) bool {
+// parseLocalize attempts the fast parse of data into req, reporting
+// whether it succeeded. On false the caller must re-parse with
+// encoding/json (req may be partially filled). "deadline_ms" takes
+// integer values only — anything else bails to the fallback, which
+// rejects it.
+func parseLocalize(data []byte, req *LocalizeRequest) bool {
 	p := &scanner{buf: data}
 	if !p.expect('{') {
 		return false
@@ -46,14 +35,10 @@ func parseLocalizeFields(data []byte, req *LocalizeRequest, deadlineMs *int64) b
 				return false
 			}
 		case "deadline_ms":
-			if deadlineMs == nil {
+			// duplicate keys are last-wins, like encoding/json
+			if req.DeadlineMs, ok = p.integer(); !ok {
 				return false
 			}
-			v, ok := p.integer()
-			if !ok {
-				return false
-			}
-			*deadlineMs = v // duplicate keys are last-wins, like encoding/json
 		case "fingerprints":
 			req.Fingerprints = nil // duplicate keys are last-wins, like encoding/json
 			if !p.expect('[') {
@@ -94,38 +79,30 @@ func parseLocalizeFields(data []byte, req *LocalizeRequest, deadlineMs *int64) b
 	return p.pos == len(p.buf)
 }
 
-// appendLocalizeResponse renders the /v1 resp without reflection. The
-// output is identical in structure to encoding/json's (shortest
-// round-trip float formatting).
-func appendLocalizeResponse(b []byte, resp *LocalizeResponse) []byte {
-	b = append(b, `{"model":`...)
+// appendLocalize renders resp without reflection, byte-identical to
+// encoding/json's output (shortest round-trip float formatting,
+// request_id omitted when empty).
+func appendLocalize(b []byte, resp *LocalizeResponse) []byte {
+	b = append(b, '{')
+	if resp.RequestID != "" {
+		b = append(b, `"request_id":`...)
+		b = strconv.AppendQuote(b, resp.RequestID)
+		b = append(b, ',')
+	}
+	b = append(b, `"model":`...)
 	b = strconv.AppendQuote(b, resp.Model)
-	return appendLocalizeResults(b, resp.Results)
-}
-
-// appendLocalizeResponseV2 renders the /v2 response: the /v1 body with
-// the request_id field first, byte-identical to encoding/json of
-// localizeResponseV2.
-func appendLocalizeResponseV2(b []byte, reqID string, resp *LocalizeResponse) []byte {
-	b = append(b, `{"request_id":`...)
-	b = strconv.AppendQuote(b, reqID)
-	b = append(b, `,"model":`...)
-	b = strconv.AppendQuote(b, resp.Model)
-	return appendLocalizeResults(b, resp.Results)
-}
-
-// appendLocalizeResults renders the shared `,"results":[...]}` tail.
-func appendLocalizeResults(b []byte, results []Position) []byte {
 	b = append(b, `,"results":[`...)
-	for i := range results {
-		r := &results[i]
+	for i := range resp.Results {
+		r := &resp.Results[i]
 		if i > 0 {
 			b = append(b, ',')
 		}
+		// 'g', -1: the shortest form that round-trips, like encoding/json
+		// for the values produced here.
 		b = append(b, `{"x":`...)
-		b = appendJSONFloat(b, r.X)
+		b = strconv.AppendFloat(b, r.X, 'g', -1, 64)
 		b = append(b, `,"y":`...)
-		b = appendJSONFloat(b, r.Y)
+		b = strconv.AppendFloat(b, r.Y, 'g', -1, 64)
 		b = append(b, `,"class":`...)
 		b = strconv.AppendInt(b, int64(r.Class), 10)
 		b = append(b, `,"building":`...)
@@ -136,12 +113,6 @@ func appendLocalizeResults(b []byte, results []Position) []byte {
 	}
 	b = append(b, ']', '}', '\n')
 	return b
-}
-
-// appendJSONFloat formats a float as a JSON number (shortest form that
-// round-trips, like encoding/json for the values produced here).
-func appendJSONFloat(b []byte, v float64) []byte {
-	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // scanner is a minimal JSON tokenizer over a byte slice.
@@ -179,21 +150,23 @@ func (p *scanner) expect(c byte) bool {
 	return true
 }
 
-// simpleString parses a quoted string without escape sequences (any
-// backslash bails out to the slow path).
+// simpleString parses a quoted string of printable ASCII without escape
+// sequences. A backslash, a control character (which JSON forbids raw)
+// or a non-ASCII byte (which encoding/json validates as UTF-8, replacing
+// what is not) bails out to the slow path.
 func (p *scanner) simpleString() (string, bool) {
 	if !p.expect('"') {
 		return "", false
 	}
 	start := p.pos
 	for p.pos < len(p.buf) {
-		switch p.buf[p.pos] {
-		case '\\':
-			return "", false
-		case '"':
+		switch c := p.buf[p.pos]; {
+		case c == '"':
 			s := string(p.buf[start:p.pos])
 			p.pos++
 			return s, true
+		case c == '\\' || c < 0x20 || c >= 0x80:
+			return "", false
 		default:
 			p.pos++
 		}
@@ -254,28 +227,18 @@ func (p *scanner) number() (float64, bool) {
 }
 
 // integer parses one JSON number token that is syntactically an
-// integer — no fraction or exponent. The syntax check matters:
-// encoding/json rejects 1500.0 and 1e3 when decoding into int64, and
-// accepting them here would make validation depend on which parser a
-// request happened to hit — so anything non-integer bails to the
-// fallback, which rejects it.
+// integer. ParseInt rejects a fraction or exponent, exactly as
+// encoding/json does when decoding 1500.0 or 1e3 into an int64 — so
+// those bail to the fallback, and validation does not depend on which
+// parser a request happened to hit.
 func (p *scanner) integer() (int64, bool) {
 	p.skipSpace()
 	start := p.pos
 	if !p.jsonNumber() {
 		return 0, false
 	}
-	tok := p.buf[start:p.pos]
-	for _, c := range tok {
-		if c == '.' || c == 'e' || c == 'E' {
-			return 0, false
-		}
-	}
-	v, err := strconv.ParseInt(string(tok), 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
+	v, err := strconv.ParseInt(string(p.buf[start:p.pos]), 10, 64)
+	return v, err == nil
 }
 
 // jsonNumber consumes one number matching the RFC 8259 grammar:

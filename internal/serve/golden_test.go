@@ -62,17 +62,21 @@ func cancelled() (context.Context, context.CancelFunc) {
 	return ctx, cancel
 }
 
+// goldenJSON marshals a request body.
+func goldenJSON(t *testing.T, v any) string {
+	t.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
 func goldenCases(t *testing.T) []goldenCase {
 	t.Helper()
 	fixtures(t)
 
-	marshal := func(v any) string {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(raw)
-	}
+	marshal := func(v any) string { return goldenJSON(t, v) }
 	// Deterministic payloads from the seeded fixture datasets.
 	fp := func(i int) []float64 { return wifiDS.Test[i].Features }
 	localizeOK := marshal(LocalizeRequest{
@@ -154,14 +158,11 @@ func goldenDialectCases(t *testing.T, prefix string) []goldenCase {
 	t.Helper()
 	fixtures(t)
 	seg := imuDS.Test[0].Features[:imuModel.SegmentDim()]
-	create, err := json.Marshal(SessionSegmentsRequest{Model: "imu-test", Start: &XY{X: 12, Y: 24}, Features: seg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	create := goldenJSON(t, SessionSegmentsRequest{Model: "imu-test", Start: &XY{X: 12, Y: 24}, Features: seg})
 	return []goldenCase{
 		// The session is created, then its first step finds the deadline
 		// gone: the committed prefix (none) rides along with the error.
-		{name: "session_partial_commit", method: "POST", path: prefix + "/sessions/golden-partial/segments", body: string(create), ctx: expired},
+		{name: "session_partial_commit", method: "POST", path: prefix + "/sessions/golden-partial/segments", body: create, ctx: expired},
 		{name: "draining", method: "POST", path: prefix + "/localize", body: `{"model":"wifi-test","fingerprints":[[0.1]]}`, drain: true},
 	}
 }
@@ -175,13 +176,7 @@ func goldenV2Cases(t *testing.T) []goldenCase {
 		tc.path = "/v2" + strings.TrimPrefix(tc.path, "/v1")
 		cases = append(cases, tc)
 	}
-	marshal := func(v any) string {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(raw)
-	}
+	marshal := func(v any) string { return goldenJSON(t, v) }
 	segDim := imuModel.SegmentDim()
 	seg := imuDS.Test[0].Features[:segDim]
 	localize := marshal(LocalizeRequest{Model: "wifi-test", Fingerprints: [][]float64{wifiDS.Test[0].Features}})
@@ -260,10 +255,7 @@ func newGoldenServer(t *testing.T) *Server {
 
 func TestGoldenV1(t *testing.T) {
 	cases := goldenCases(t)
-	fp, err := json.Marshal(wifiDS.Test[0].Features)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fp := goldenJSON(t, wifiDS.Test[0].Features)
 	cases = append(cases, goldenCase{
 		// /v1 honours neither deadline carrier, malformed or not.
 		name: "localize_deadline_ignored", method: "POST", path: "/v1/localize",

@@ -14,11 +14,12 @@
 //     AppendSegments / Session / Models / Health as plain context-aware
 //     methods with typed errors (machine-readable codes + suggested HTTP
 //     statuses). Embedders and tests drive it directly.
-//   - Server is the HTTP adapter over an Engine: the /v1 handlers keep
-//     the original free-text wire protocol byte-for-byte (pinned by
-//     golden-file tests), and /v2 adds the structured error envelope,
+//   - Server is the HTTP adapter over an Engine: one table of
+//     operations, each written once, mounted under every wire dialect.
+//     The /v1 dialect keeps the original free-text protocol
+//     byte-for-byte; /v2 adds the structured error envelope,
 //     server-assigned request IDs, per-request deadlines, and NDJSON
-//     streaming tracking.
+//     streaming tracking. Golden-file tests pin the bytes of both.
 //
 // The registry loads named model bundles (manifest.json + weights.gob,
 // written by WriteBundle / `noble-train -bundle`) from a directory and

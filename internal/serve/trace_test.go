@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -374,5 +375,65 @@ func TestSessionModelConflictDoesNotLeakLock(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("append after conflict deadlocked: session lock leaked")
+	}
+}
+
+// TestStreamLinesTraceThemselves pins the long-lived-row contract: an
+// NDJSON connection is not a request, so its lifetime must never land
+// in the "total" stage — each line is traced (and totalled) on its own,
+// under the connection's trace ID. The connection idles far longer than
+// any line takes; before the fix that idle time WAS the one total
+// sample.
+func TestStreamLinesTraceThemselves(t *testing.T) {
+	const idle = 300 * time.Millisecond
+	s := newTestServer(t, 0)
+	open, _ := json.Marshal(streamOpen{SessionSegmentsRequest: SessionSegmentsRequest{Model: "imu-test", Start: &XY{}}})
+	step, _ := json.Marshal(SessionSegmentsRequest{Features: segFeatures(t, 1)})
+
+	pr, pw := io.Pipe()
+	req := httptest.NewRequest(http.MethodPost, "/v2/track/stream", pr)
+	req.Header.Set("X-Trace-Id", "trace-stream")
+	w := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Handler().ServeHTTP(w, req)
+	}()
+	pw.Write(append(open, '\n'))
+	time.Sleep(idle)
+	pw.Write(append(step, '\n'))
+	pw.Close()
+	<-done
+	if w.Code != http.StatusOK || strings.Count(w.Body.String(), "\n") != 2 {
+		t.Fatalf("stream: %d %s", w.Code, w.Body)
+	}
+	if got := w.Header().Get("X-Trace-Id"); got != "trace-stream" {
+		t.Fatalf("X-Trace-Id echo = %q", got)
+	}
+
+	total := s.engine.Tracer().StageSnapshot()[obs.StageTotal]
+	if total.Count != 2 {
+		t.Fatalf("total stage has %d samples for a 2-line stream, want one per line", total.Count)
+	}
+	if max := time.Duration(total.MaxSeconds * float64(time.Second)); max >= idle/2 {
+		t.Fatalf("total stage max %v: the connection's %v idle leaked into a line's total", max, idle)
+	}
+	var lines []obs.TraceDump
+	for _, tr := range s.engine.Tracer().Dump().Recent {
+		if tr.ID == "trace-stream" {
+			if tr.Name != "v2_track_stream" || tr.RequestID == "" {
+				t.Fatalf("line trace %+v: want the row's metric name and the stream's request ID", tr)
+			}
+			lines = append(lines, tr)
+		}
+	}
+	if len(lines) != 2 {
+		t.Fatalf("%d retained traces for trace-stream, want one per line", len(lines))
+	}
+	// Dump is newest first: the step line carries the forward pass.
+	for _, stage := range []string{obs.StageDecode, obs.StageBatchPass, obs.StageEncode} {
+		if _, ok := spanOf(lines[0], stage); !ok {
+			t.Fatalf("step line trace missing %s span: %+v", stage, lines[0].Spans)
+		}
 	}
 }

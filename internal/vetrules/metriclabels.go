@@ -16,7 +16,8 @@ import (
 // string literals and constants, possibly flowing through in-package
 // parameters and struct fields whose writers are themselves all
 // bounded (e.g. Batcher.kind, set once from a literal in NewEngine, or
-// instrument's name parameter, bound in routes()).
+// an endpoint label, concatenated in mount from the dialect and
+// operation tables' literal fields).
 //
 // Sinks: Metrics.Observe / ObserveBatch / ObserveBatchDrop /
 // registerBatchKind (label is argument 0) and obs.Begin / AddSpan /

@@ -7,30 +7,35 @@ import (
 	"noble/internal/vetrules/analysis"
 )
 
-// strictDecodeImplMarker blesses the one function per protocol version
-// that is allowed to touch the raw request body with a JSON decoder:
-// the shared strict decoder itself. Everything else goes through it.
+// strictDecodeImplMarker blesses the one function in a package that is
+// allowed to touch the raw request body with a JSON decoder: the shared
+// strict decoder itself. Everything else goes through it.
 const strictDecodeImplMarker = "//vet:strictdecode-impl"
 
 // Strictdecode pins the request-decoding discipline PR-2/PR-3
-// established: handlers decode bodies through decodeStrict (size cap →
-// 413, trailing-garbage and unknown-field rejection → 400, typed error
-// envelope) and surface failures through the serve/errors.go code
-// table. A handler that reaches for json.NewDecoder(r.Body),
+// established: handlers decode bodies through the strict decoder
+// (serve's exchange.decode: size cap → 413, trailing-garbage rejection →
+// 400, typed error) and surface failures through the serve/errors.go
+// code table. A handler that reaches for json.NewDecoder(r.Body),
 // io.ReadAll(r.Body), fmt.Errorf, errors.New, or http.Error bypasses
 // the size caps and emits errors no client can dispatch on.
 //
-// "Handler" means any function with an http.ResponseWriter parameter.
-// The blessed decoder implementations carry //vet:strictdecode-impl in
-// their doc comment.
+// "Handler" means any function that can answer a request: one with an
+// http.ResponseWriter parameter, or with a receiver or parameter whose
+// struct type carries one as a field (serve's per-request exchange).
+// The blessed decoder carries //vet:strictdecode-impl in its doc
+// comment, and a package may bless exactly one: a second strict decoder
+// is a second place for the size cap, the trailing-garbage check and
+// the error mapping to drift apart.
 var Strictdecode = &analysis.Analyzer{
 	Name: "strictdecode",
-	Doc: "HTTP handlers must decode request bodies via decodeStrict and map errors through the " +
-		"typed error table — no raw json.Decoder/io.ReadAll on r.Body, no fmt.Errorf/errors.New/http.Error",
+	Doc: "HTTP handlers must decode request bodies via the package's one strict decoder and map errors through " +
+		"the typed error table — no raw json.Decoder/io.ReadAll on r.Body, no fmt.Errorf/errors.New/http.Error",
 	Run: runStrictdecode,
 }
 
 func runStrictdecode(pass *analysis.Pass) error {
+	var blessed *ast.FuncDecl
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			decl, ok := d.(*ast.FuncDecl)
@@ -41,6 +46,13 @@ func runStrictdecode(pass *analysis.Pass) error {
 				continue
 			}
 			if docHasDirective(decl.Doc, strictDecodeImplMarker) {
+				if blessed != nil {
+					pass.Reportf(decl.Pos(),
+						"%s is a second %s in this package (%s is the first): handlers share one strict decoder",
+						decl.Name.Name, strictDecodeImplMarker, blessed.Name.Name)
+				} else {
+					blessed = decl
+				}
 				continue
 			}
 			checkStrictdecodeFunc(pass, decl)
@@ -50,11 +62,34 @@ func runStrictdecode(pass *analysis.Pass) error {
 }
 
 func hasResponseWriterParam(info *types.Info, decl *ast.FuncDecl) bool {
-	if decl.Type.Params == nil {
+	for _, list := range []*ast.FieldList{decl.Recv, decl.Type.Params} {
+		if list == nil {
+			continue
+		}
+		for _, field := range list.List {
+			if answersRequests(info.TypeOf(field.Type)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// answersRequests reports whether t is an http.ResponseWriter or (a
+// pointer to) a struct with one as a field.
+func answersRequests(t types.Type) bool {
+	if t == nil {
 		return false
 	}
-	for _, field := range decl.Type.Params.List {
-		if isNetHTTPType(info.TypeOf(field.Type), "ResponseWriter") {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if isNetHTTPType(t, "ResponseWriter") {
+		return true
+	}
+	st, ok := t.Underlying().(*types.Struct)
+	for i := 0; ok && i < st.NumFields(); i++ {
+		if isNetHTTPType(st.Field(i).Type(), "ResponseWriter") {
 			return true
 		}
 	}
@@ -86,14 +121,14 @@ func checkStrictdecodeFunc(pass *analysis.Pass, decl *ast.FuncDecl) {
 		case isPkgCall(pass.TypesInfo, call, "json", "NewDecoder") && len(call.Args) == 1 &&
 			mentionsRequestBody(pass.TypesInfo, call.Args[0]):
 			pass.Reportf(call.Pos(),
-				"handler %s decodes the request body with a raw json.Decoder: use decodeStrict "+
-					"(size cap, unknown-field and trailing-garbage rejection, typed errors)",
+				"handler %s decodes the request body with a raw json.Decoder: use the strict decoder "+
+					"(size cap, trailing-garbage rejection, typed errors)",
 				decl.Name.Name)
 		case isPkgCall(pass.TypesInfo, call, "io", "ReadAll") && len(call.Args) == 1 &&
 			mentionsRequestBody(pass.TypesInfo, call.Args[0]):
 			pass.Reportf(call.Pos(),
-				"handler %s reads the raw request body: use decodeStrict, or justify the "+
-					"fast path with //vet:ignore strictdecode",
+				"handler %s reads the raw request body: use the strict decoder, or justify the "+
+					"read with //vet:ignore strictdecode",
 				decl.Name.Name)
 		case isPkgCall(pass.TypesInfo, call, "fmt", "Errorf"),
 			isPkgCall(pass.TypesInfo, call, "errors", "New"):
@@ -104,7 +139,7 @@ func checkStrictdecodeFunc(pass *analysis.Pass, decl *ast.FuncDecl) {
 		case isPkgCall(pass.TypesInfo, call, "http", "Error"):
 			pass.Reportf(call.Pos(),
 				"handler %s writes a plain-text http.Error: respond with the typed JSON error "+
-					"envelope (fail/failEngine)",
+					"body (exchange.fail)",
 				decl.Name.Name)
 		}
 		return true

@@ -51,6 +51,29 @@ func handleSuppressedFastPath(w http.ResponseWriter, r *http.Request) {
 	_ = body
 }
 
+// exchange carries the writer and request the way serve's per-request
+// context does; functions over it are handlers too.
+type exchange struct {
+	w http.ResponseWriter
+	r *http.Request
+}
+
+func (x *exchange) readAll() {
+	_, _ = io.ReadAll(x.r.Body) // want `reads the raw request body`
+}
+
+func opRawDecoder(x *exchange) {
+	var v struct{}
+	_ = json.NewDecoder(x.r.Body).Decode(&v) // want `raw json\.Decoder`
+}
+
+// decodeAgain is a second blessed decoder: one per package.
+//
+//vet:strictdecode-impl
+func decodeAgain(x *exchange, v any) bool { // want `second //vet:strictdecode-impl`
+	return json.NewDecoder(http.MaxBytesReader(x.w, x.r.Body, 1<<20)).Decode(v) == nil
+}
+
 // notAHandler has no ResponseWriter parameter, so raw reads are fine.
 func notAHandler(r *http.Request) ([]byte, error) {
 	return io.ReadAll(r.Body)
