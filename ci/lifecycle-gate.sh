@@ -43,37 +43,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-fail() {
-    echo "FAIL: $1"
-    for log in "$work"/serve*.log; do
-        [ -f "$log" ] || continue
-        echo "---- tail of $log ----"
-        tail -n 40 "$log" | sed 's/^/   /'
-    done
-    exit 1
-}
-
-# wait_listening blocks until the serve process logs its resolved listen
-# address (it binds port 0, so the kernel picks a free one) and the
-# health check answers; sets $addr.
-wait_listening() {
-    local log="$1"
-    addr=""
-    for _ in $(seq 1 240); do
-        addr=$(sed -n 's/.*msg=listening addr=\([^ ]*\).*/\1/p' "$log" | head -n1)
-        if [ -n "$addr" ] && curl -fsS "http://$addr/healthz" >/dev/null 2>&1; then
-            return 0
-        fi
-        kill -0 "$serve_pid" 2>/dev/null || fail "noble-serve exited during startup"
-        sleep 0.5
-    done
-    fail "server never became healthy"
-}
-
-# counter scrapes one exact metric line (name{labels}) off /metrics.
-counter() {
-    curl -fsS "http://$addr/metrics" | awk -v m="$1" '$1==m {print $2}'
-}
+source "$(dirname "${BASH_SOURCE[0]}")/lib.sh"   # fail, wait_listening, counter
 
 echo "== building binaries into $bin"
 go build -o "$bin/" ./cmd/noble-serve ./cmd/noble-loadgen ./ci/publishgen ./ci/lifecyclewait

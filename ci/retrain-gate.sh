@@ -45,39 +45,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-fail() {
-    echo "FAIL: $1"
-    for log in "$work"/*.log; do
-        [ -f "$log" ] || continue
-        echo "---- tail of $log ----"
-        tail -n 40 "$log" | sed 's/^/   /'
-    done
-    exit 1
-}
-
-# wait_listening blocks until the serve process logs its resolved
-# serving and admin addresses (both bind port 0) and the health check
-# answers; sets $addr and $admin.
-wait_listening() {
-    local log="$1"
-    addr=""
-    admin=""
-    for _ in $(seq 1 240); do
-        addr=$(sed -n 's/.*msg=listening addr=\([^ ]*\).*/\1/p' "$log" | head -n1)
-        admin=$(sed -n 's/.*msg="debug plane listening" addr=\([^ ]*\).*/\1/p' "$log" | head -n1)
-        if [ -n "$addr" ] && [ -n "$admin" ] && curl -fsS "http://$addr/healthz" >/dev/null 2>&1; then
-            return 0
-        fi
-        kill -0 "$serve_pid" 2>/dev/null || fail "noble-serve exited during startup"
-        sleep 0.5
-    done
-    fail "server never became healthy"
-}
-
-# counter scrapes one exact metric line (name{labels}) off /metrics.
-counter() {
-    curl -fsS "http://$addr/metrics" | awk -v m="$1" '$1==m {print $2}'
-}
+source "$(dirname "${BASH_SOURCE[0]}")/lib.sh"   # fail, wait_listening, counter
 
 echo "== building binaries into $bin"
 go build -o "$bin/" ./cmd/noble-serve ./cmd/noble-loadgen ./cmd/noble-retrain ./ci/lifecyclewait
@@ -93,7 +61,7 @@ serve_flags=(-models "$models" -state-dir "$state" -fsync interval -addr 127.0.0
 echo "== boot: train tiny demo models and serve with journal + retrain manager"
 "$bin/noble-serve" -demo-tiny "${serve_flags[@]}" >"$work/serve.log" 2>&1 &
 serve_pid=$!
-wait_listening "$work/serve.log"
+wait_listening "$work/serve.log" admin
 echo "   serving on $addr, admin plane on $admin"
 
 base=$("$bin/lifecyclewait" -url "http://$addr" -model demo-wifi -stage none -timeout 10s) \

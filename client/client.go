@@ -151,9 +151,9 @@ func retryable(status int, err error) bool {
 	return err != nil || status >= 500
 }
 
-// doRaw runs one JSON exchange against endpoint with retries and
-// protocol fallback, returning the 2xx response body.
-func (c *Client) doRaw(ctx context.Context, method, endpoint string, body []byte) ([]byte, error) {
+// do runs one JSON exchange against endpoint with retries and protocol
+// fallback, decoding the 2xx response body into out (unless out is nil).
+func (c *Client) do(ctx context.Context, method, endpoint string, body []byte, out any) error {
 	attempts := 1 + c.retries
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -161,13 +161,16 @@ func (c *Client) doRaw(ctx context.Context, method, endpoint string, body []byte
 			delay := c.backoff << (attempt - 1)
 			select {
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				return ctx.Err()
 			case <-time.After(delay):
 			}
 		}
 		status, raw, err := c.roundTrip(ctx, method, endpoint, body)
 		if err == nil && status < 300 {
-			return raw, nil
+			if out == nil {
+				return nil
+			}
+			return json.Unmarshal(raw, out)
 		}
 		if err == nil {
 			lastErr = parseAPIError(status, raw)
@@ -175,25 +178,13 @@ func (c *Client) doRaw(ctx context.Context, method, endpoint string, body []byte
 			lastErr = err
 		}
 		if !retryable(status, err) {
-			return nil, lastErr
+			return lastErr
 		}
 		if ctx.Err() != nil {
-			return nil, lastErr
+			return lastErr
 		}
 	}
-	return nil, lastErr
-}
-
-// do is doRaw plus decoding the response into out (unless out is nil).
-func (c *Client) do(ctx context.Context, method, endpoint string, body []byte, out any) error {
-	raw, err := c.doRaw(ctx, method, endpoint, body)
-	if err != nil {
-		return err
-	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(raw, out)
+	return lastErr
 }
 
 // roundTrip sends one attempt, handling the v2→v1 downgrade: a 404
@@ -270,7 +261,7 @@ func (c *Client) sendHTTP(ctx context.Context, method, path string, body []byte)
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
 	if err != nil {
 		return resp.StatusCode, nil, err
 	}
@@ -320,28 +311,18 @@ func marshal(v any) []byte {
 }
 
 // Localize asks the named Wi-Fi model for positions, one per
-// fingerprint, in order. This is the fleet hot path, so both directions
-// go through the hand-rolled wire layer (fastwire.go) with an
-// encoding/json fallback on the decode.
+// fingerprint, in order.
 func (c *Client) Localize(ctx context.Context, model string, fingerprints ...[]float64) ([]Position, error) {
 	return c.localizeBody(ctx, appendLocalizeRequest(nil, model, fingerprints))
 }
 
 // localizeBody sends an encoded localize request and decodes the
-// positions (fast path first, encoding/json fallback).
+// positions.
 func (c *Client) localizeBody(ctx context.Context, body []byte) ([]Position, error) {
-	raw, err := c.doRaw(ctx, http.MethodPost, "/localize", body)
-	if err != nil {
-		return nil, err
-	}
-	var results []Position
-	if parseLocalizeResponse(raw, &results) {
-		return results, nil
-	}
 	var resp struct {
 		Results []Position `json:"results"`
 	}
-	if err := json.Unmarshal(raw, &resp); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/localize", body, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Results, nil
@@ -364,6 +345,30 @@ func PrepareLocalize(model string, fingerprints ...[]float64) *PreparedLocalize 
 // Localize.
 func (c *Client) LocalizePrepared(ctx context.Context, p *PreparedLocalize) ([]Position, error) {
 	return c.localizeBody(ctx, p.body)
+}
+
+// appendLocalizeRequest renders {"model":M,"fingerprints":[[...],...]}
+// without reflection: the request shape is exact by construction, so
+// there is no parser and no fallback behind it.
+func appendLocalizeRequest(b []byte, model string, fingerprints [][]float64) []byte {
+	b = append(b, `{"model":`...)
+	b = strconv.AppendQuote(b, model)
+	b = append(b, `,"fingerprints":[`...)
+	for i, fp := range fingerprints {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '[')
+		for j, v := range fp {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendFloat(b, v, 'g', -1, 64)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, ']', '}')
+	return b
 }
 
 // Track asks the named IMU model to decode path ends, one per path, in

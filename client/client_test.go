@@ -125,6 +125,35 @@ func TestLocalizeAgainstV2AndV1(t *testing.T) {
 	}
 }
 
+// The SDK has one JSON decoder, encoding/json, so a localize response is
+// held to its grammar and its types: a fractional class is not an int
+// and "+1" is not a JSON number.
+func TestLocalizeResponseIsStrictlyDecoded(t *testing.T) {
+	cases := map[string]struct {
+		body string
+		ok   bool
+	}{
+		"well-formed":      {`{"model":"wifi","results":[{"x":1,"y":2.5,"class":3,"building":0,"floor":1}]}`, true},
+		"fractional class": {`{"model":"wifi","results":[{"x":1,"y":2.5,"class":1.5,"building":0,"floor":1}]}`, false},
+		"plus-signed x":    {`{"model":"wifi","results":[{"x":+1,"y":2.5,"class":3,"building":0,"floor":1}]}`, false},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				io.WriteString(w, tc.body)
+			}))
+			defer ts.Close()
+			got, err := client.New(ts.URL, client.WithRetries(0, 0)).Localize(context.Background(), "wifi", []float64{0})
+			if tc.ok != (err == nil) {
+				t.Fatalf("positions %+v, err %v; want ok=%v", got, err, tc.ok)
+			}
+			if tc.ok && (len(got) != 1 || got[0] != client.Position{X: 1, Y: 2.5, Class: 3, Floor: 1}) {
+				t.Fatalf("positions %+v", got)
+			}
+		})
+	}
+}
+
 func TestTrackMatchesModel(t *testing.T) {
 	ts := newServer(t, 0)
 	c := client.New(ts.URL)

@@ -3,6 +3,7 @@ package client
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -49,6 +50,16 @@ type fastConn struct {
 	reused bool      // popped from the pool (vs freshly dialed)
 	idle   time.Time // when it was returned to the pool
 }
+
+// maxResponseBytes caps a buffered response body on every transport and
+// framing. The framing headers are the server's claim, not a fact: a
+// Content-Length or chunk size is checked against the cap before any
+// buffer is sized from it.
+const maxResponseBytes = 64 << 20
+
+// errResponseTooLarge fails an exchange whose response would exceed
+// maxResponseBytes; the connection is closed, not pooled.
+var errResponseTooLarge = errors.New("client: response too large (over 64 MiB)")
 
 // maxConnIdle discards pooled connections idle longer than this: the
 // peer (or an LB) may have silently closed them, and a dead socket
@@ -222,6 +233,8 @@ func (t *fastTransport) exchange(ctx context.Context, fc *fastConn, method, path
 		if resp, err = readChunked(fc.br); err != nil {
 			return 0, nil, false, true, err
 		}
+	case contentLength > maxResponseBytes:
+		return 0, nil, false, true, errResponseTooLarge
 	case contentLength >= 0:
 		resp = make([]byte, contentLength)
 		if _, err = readFull(fc.br, resp); err != nil {
@@ -230,8 +243,11 @@ func (t *fastTransport) exchange(ctx context.Context, fc *fastConn, method, path
 	default:
 		// Close-delimited (HTTP/1.0 style): read to EOF; the conn is
 		// not reusable.
-		if resp, err = io.ReadAll(fc.br); err != nil {
+		if resp, err = io.ReadAll(io.LimitReader(fc.br, maxResponseBytes+1)); err != nil {
 			return 0, nil, false, true, err
+		}
+		if len(resp) > maxResponseBytes {
+			return 0, nil, false, true, errResponseTooLarge
 		}
 		keepAlive = false
 	}
@@ -254,6 +270,9 @@ func readChunked(br *bufio.Reader) ([]byte, error) {
 		}
 		if size == 0 {
 			break
+		}
+		if size > int64(maxResponseBytes-len(out)) {
+			return nil, errResponseTooLarge
 		}
 		chunk := make([]byte, size+2) // chunk data + trailing CRLF
 		if _, err := readFull(br, chunk); err != nil {

@@ -1,371 +1,118 @@
 // Command noble-loadgen replays synthetic device traffic against a
 // running noble-serve and reports throughput and latency, so serving
-// performance (and the effect of micro-batching) is measurable and
-// trackable across revisions. It is built entirely on the public client
-// SDK (noble/client) — the same code path a real device fleet uses.
+// performance (and the effect of micro-batching) is measurable against
+// whatever is deployed. It is flag parsing, one benchrig.Drive call and a
+// report: the worker loops, payload pools, pacing, recorder and error
+// classes are the ones noble-perf's gated scenarios run, through the
+// public client SDK a real device fleet uses.
 //
 // Usage:
 //
 //	noble-loadgen [-url http://localhost:8080] [-mode localize|track|stream]
 //	              [-model NAME] [-concurrency 32] [-duration 10s]
 //	              [-qps 0] [-seed 1] [-deadline 0]
-//	              [-wifi-model NAME] [-fix-every 16] [-window 2]
+//	              [-wifi-model NAME] [-fix-every 16]
 //
 // In localize mode (the default) each in-flight request carries one
 // fingerprint — the paper's workload shape, where every device asks for
-// its own position — and -concurrency controls how many devices query at
-// once. In track mode each worker is one device with a stateful tracking
-// session: it streams one IMU segment per request to
-// /sessions/{id}/segments, and every -fix-every steps the request also
-// carries a WiFi fingerprint that re-anchors the session through the
-// localize path, replaying the paper's hybrid IMU+WiFi tracking at fleet
-// scale; the reported latency is then per tracking step. Stream mode is
-// track mode over the /v2 NDJSON streaming protocol: one connection per
+// its own position — and -concurrency is how many devices query at once.
+// In track mode each worker is one device with a stateful tracking
+// session: one IMU segment per request to /sessions/{id}/segments, and
+// every -fix-every steps also a WiFi fingerprint that re-anchors the
+// session through the localize path (the paper's hybrid IMU+WiFi
+// tracking at fleet scale); latency is then per tracking step. Stream
+// mode is track mode over the /v2 NDJSON stream: one connection per
 // device, one line per segment. With -qps 0 the load is closed-loop
 // (every worker fires as fast as the server answers); otherwise arrivals
-// are paced open-loop at the target rate. -deadline sets a per-request
-// deadline (propagated as X-Deadline-Ms); expired requests count as
-// errors and their rows are dropped server-side without consuming
-// forward-pass rows — the report scrapes both the batch occupancy and
-// the dropped-row counter from /metrics so coalescing and cancellation
-// are visible end to end.
+// are paced open-loop at the target rate, and the report says how many
+// were offered and how many were shed because every worker was busy.
+// -deadline sets a per-request deadline (sent as X-Deadline-Ms): expired
+// requests count as errors and their rows are dropped server-side before
+// their forward pass — the report scrapes batch occupancy and the
+// dropped-row counter from /metrics, so coalescing and cancellation are
+// visible end to end.
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
-	"os"
-	"runtime/pprof"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"noble/client"
-	"noble/internal/loadshape"
+	"noble/internal/benchrig"
+)
+
+// The flag surface, pinned by the golden help test.
+var (
+	url         = flag.String("url", "http://localhost:8080", "noble-serve base URL")
+	mode        = flag.String("mode", "localize", "workload: localize (stateless fingerprints), track (stateful sessions), or stream (NDJSON streaming sessions)")
+	model       = flag.String("model", "", "model name (default: first model of the mode's kind from the server)")
+	concurrency = flag.Int("concurrency", 32, "concurrent in-flight requests (track/stream: concurrent device sessions)")
+	duration    = flag.Duration("duration", 10*time.Second, "measurement duration")
+	qps         = flag.Float64("qps", 0, "target request rate (0 = closed-loop, as fast as possible)")
+	seed        = flag.Int64("seed", 1, "payload generator seed (also keys track-mode session ids)")
+	deadline    = flag.Duration("deadline", 0, "per-request deadline (0 disables); expired requests count as errors")
+	wifiModel   = flag.String("wifi-model", "", "track/stream mode: wifi model for fixes (default: first wifi model)")
+	fixEvery    = flag.Int("fix-every", 16, "track/stream mode: carry a wifi fingerprint fix every N steps (0 disables fixes)")
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("noble-loadgen: ")
-	url := flag.String("url", "http://localhost:8080", "noble-serve base URL")
-	mode := flag.String("mode", "localize", "workload: localize (stateless fingerprints), track (stateful sessions), or stream (NDJSON streaming sessions)")
-	model := flag.String("model", "", "model name (default: first model of the mode's kind from the server)")
-	concurrency := flag.Int("concurrency", 32, "concurrent in-flight requests (track/stream: concurrent device sessions)")
-	duration := flag.Duration("duration", 10*time.Second, "measurement duration")
-	qps := flag.Float64("qps", 0, "target request rate (0 = closed-loop, as fast as possible)")
-	seed := flag.Int64("seed", 1, "payload generator seed (also keys track-mode session ids)")
-	deadline := flag.Duration("deadline", 0, "per-request deadline (0 disables); expired requests count as errors")
-	wifiModel := flag.String("wifi-model", "", "track/stream mode: wifi model for fixes (default: first wifi model)")
-	fixEvery := flag.Int("fix-every", 16, "track/stream mode: carry a wifi fingerprint fix every N steps (0 disables fixes)")
-	window := flag.Int("window", 2, "track/stream mode: session decode window in segments")
-	protocol := flag.String("protocol", "auto", "wire protocol: auto (v2 with v1 fallback) or v1 (pin the legacy protocol, for A/B comparison)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the load generator to this file")
 	flag.Parse()
-	if *mode != "localize" && *mode != "track" && *mode != "stream" {
-		log.Fatalf("unknown -mode %q (want localize, track, or stream)", *mode)
-	}
-	if *mode == "stream" && *deadline > 0 {
-		// The stream protocol has no per-line deadlines (one long-lived
-		// connection per device); silently ignoring the flag would make a
-		// zero-error report read as "no deadline violations".
-		log.Fatalf("-deadline is not supported in -mode stream")
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			log.Fatalf("creating %s: %v", *cpuprofile, err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatalf("starting CPU profile: %v", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	// Retries off: the generator measures the server as it is; a failed
-	// request is an error in the report, not something to paper over.
-	// The fast transport keeps the generator's own CPU out of the
-	// measurement (it shares cores with the server under test).
-	opts := []client.Option{client.WithRetries(0, 0), client.WithFastTransport()}
-	if *protocol == "v1" {
-		opts = append(opts, client.WithV1())
-	} else if *protocol != "auto" {
-		log.Fatalf("unknown -protocol %q (want auto or v1)", *protocol)
-	}
-	c := client.New(*url, opts...)
-	ctx := context.Background()
-	models, err := c.Models(ctx)
+	run, err := benchrig.Workload(*mode, *deadline)
 	if err != nil {
-		log.Fatalf("listing models: %v", err)
+		log.Fatal(err)
 	}
-
-	// Pre-generate payload pools so the hot loop only does HTTP + JSON.
-	rng := rand.New(rand.NewSource(*seed))
-	const pool = 256
-
-	// Payload synthesis is shared with the noble-perf harness (via
-	// internal/loadshape), so ad-hoc load runs and the gated BENCH.json
-	// replay the same traffic shape.
-	makeFingerprint := func(dim int) []float64 { return loadshape.SynthFingerprint(rng, dim) }
-
-	kind := "localize"
-	var (
-		prepared  []*client.PreparedLocalize // localize mode: pre-encoded request pool
-		createReq client.AppendRequest       // track/stream: first request of each session
-		stepReqs  []client.AppendRequest     // plain segment appends
-		fixReqs   []client.AppendRequest     // segment + wifi fix
-	)
-	switch *mode {
-	case "localize":
-		m, ok := pick(models, "wifi", *model)
-		if !ok {
-			log.Fatalf("no wifi model %q at %s (have %+v)", *model, *url, models)
-		}
-		log.Printf("target %s model=%s input_dim=%d", *url, m.Name, m.InputDim)
-		// Encode the pool once so the hot loop measures the server, not
-		// this process's float formatting.
-		prepared = make([]*client.PreparedLocalize, pool)
-		for i := range prepared {
-			prepared[i] = client.PrepareLocalize(m.Name, makeFingerprint(m.InputDim))
-		}
-	case "track", "stream":
-		kind = "track"
-		m, ok := pick(models, "imu", *model)
-		if !ok {
-			log.Fatalf("no imu model %q at %s (have %+v)", *model, *url, models)
-		}
-		makeSegment := func() []float64 { return loadshape.SynthSegment(rng, m.SegmentDim) }
-		createReq = client.AppendRequest{
-			Model: m.Name, Start: &client.XY{}, Window: *window, Features: makeSegment(),
-		}
-		stepReqs = make([]client.AppendRequest, pool)
-		for i := range stepReqs {
-			stepReqs[i] = client.AppendRequest{Features: makeSegment()}
-		}
-		logLine := fmt.Sprintf("target %s mode=%s model=%s segment_dim=%d window=%d", *url, *mode, m.Name, m.SegmentDim, *window)
-		if *fixEvery > 0 {
-			wm, ok := pick(models, "wifi", *wifiModel)
-			if !ok {
-				log.Fatalf("no wifi model %q for fixes at %s (have %+v)", *wifiModel, *url, models)
-			}
-			fixReqs = make([]client.AppendRequest, pool)
-			for i := range fixReqs {
-				fixReqs[i] = client.AppendRequest{
-					Features:    makeSegment(),
-					WiFiModel:   wm.Name,
-					Fingerprint: makeFingerprint(wm.InputDim),
-				}
-			}
-			logLine += fmt.Sprintf(" wifi_model=%s fix_every=%d", wm.Name, *fixEvery)
-		}
-		log.Print(logLine)
+	load := benchrig.Load{
+		Run: run, Concurrency: *concurrency, Duration: *duration,
+		Seed: *seed, FixEvery: *fixEvery, QPS: *qps,
 	}
-
-	before := scrapeBatchStats(ctx, c, kind)
-
-	var (
-		sent       atomic.Int64
-		errs       atomic.Int64
-		errs4xx    atomic.Int64 // server rejected the request (non-2xx, 4xx class)
-		errs5xx    atomic.Int64 // server failed the request (5xx class)
-		errsDL     atomic.Int64 // the -deadline expired
-		errsConn   atomic.Int64 // connection/transport failures, incl. mid-stream drops
-		streamEnds atomic.Int64 // device streams terminated early by an error
-		latMu      sync.Mutex
-		lats       []float64 // seconds
-		lgDeadline = time.Now().Add(*duration)
-	)
-	// record classifies a finished request. Non-2xx responses and
-	// mid-stream connection errors are counted in their own buckets —
-	// folding them into one "errors" number masks server-side drops
-	// (e.g. during drain tests, where 503s and severed streams are the
-	// whole point of the measurement).
-	record := func(d time.Duration, err error) {
-		sent.Add(1)
-		if err != nil {
-			errs.Add(1)
-			// Shared classifier (internal/loadshape): BENCH.json and
-			// this report must bucket the identical failure identically.
-			switch loadshape.ClassifyError(err) {
-			case loadshape.ErrClass5xx:
-				errs5xx.Add(1)
-			case loadshape.ErrClass4xx:
-				errs4xx.Add(1)
-			case loadshape.ErrClassDeadline:
-				errsDL.Add(1)
-			default:
-				errsConn.Add(1)
-			}
-			return
-		}
-		latMu.Lock()
-		lats = append(lats, d.Seconds())
-		latMu.Unlock()
-	}
-	// reqCtx applies the optional per-request deadline.
-	reqCtx := func() (context.Context, context.CancelFunc) {
-		if *deadline > 0 {
-			return context.WithTimeout(ctx, *deadline)
-		}
-		return ctx, func() {}
-	}
-	// stepReq sequences one track/stream worker's requests: create the
-	// session first, then append segments with a periodic wifi fix.
-	stepReq := func(step int) client.AppendRequest {
-		switch {
-		case step == 0:
-			return createReq
-		case *fixEvery > 0 && step%*fixEvery == 0:
-			return fixReqs[step%pool]
-		default:
-			return stepReqs[step%pool]
-		}
-	}
-	start := time.Now()
-	var wg sync.WaitGroup
-
-	// runWorker is one closed-loop device; paced is non-nil in open-loop
-	// mode and gates each request on an arrival tick.
-	runWorker := func(w int, paced <-chan struct{}) {
-		defer wg.Done()
-		var (
-			sess   *client.Session
-			stream *client.TrackStream
-		)
-		switch *mode {
-		case "track":
-			sess = c.Session(fmt.Sprintf("lg%d-%d", *seed, w))
-		case "stream":
-			open := client.StreamOpen{
-				Session:       fmt.Sprintf("lg%d-%d", *seed, w),
-				AppendRequest: createReq,
-			}
-			st, err := c.TrackStream(ctx, open)
-			if err != nil {
-				log.Fatalf("worker %d: opening stream: %v", w, err)
-			}
-			if _, err := st.Recv(); err != nil {
-				log.Fatalf("worker %d: stream open ack: %v", w, err)
-			}
-			stream = st
-			defer stream.Close()
-		}
-		for step := 0; ; step++ {
-			if paced != nil {
-				if _, ok := <-paced; !ok {
-					return
-				}
-			} else if !time.Now().Before(lgDeadline) {
-				return
-			}
-			rctx, cancel := reqCtx()
-			t0 := time.Now()
-			var err error
-			switch *mode {
-			case "localize":
-				_, err = c.LocalizePrepared(rctx, prepared[(w*31+step)%pool])
-			case "track":
-				_, err = sess.Append(rctx, stepReq(step))
-			case "stream":
-				// Per-line deadlines are not part of the stream protocol;
-				// the latency is still the full send→estimate round trip.
-				if err = stream.Send(stepReq(step + 1)); err == nil {
-					_, err = stream.Recv()
-				}
-			}
-			cancel()
-			record(time.Since(t0), err)
-			if *mode == "stream" && err != nil {
-				// A stream error is terminal for this device: the
-				// connection is gone (or the server sent a line-level
-				// error and closed). Count the early termination so a
-				// report with 31 of 32 devices dead reads as such.
-				streamEnds.Add(1)
-				return
-			}
-		}
-	}
-
-	if *qps > 0 {
-		// Open-loop: paced arrivals dispatched to a bounded worker pool.
-		work := make(chan struct{}, *concurrency)
-		for w := 0; w < *concurrency; w++ {
-			wg.Add(1)
-			go runWorker(w, work)
-		}
-		interval := time.Duration(float64(time.Second) / *qps)
-		tick := time.NewTicker(interval)
-		for time.Now().Before(lgDeadline) {
-			<-tick.C
-			select {
-			case work <- struct{}{}: // drop the arrival if all workers are busy
-			default:
-			}
-		}
-		tick.Stop()
-		close(work)
+	kind, unit := "localize", "req/s"
+	if *mode == "localize" {
+		load.WiFi = *model
 	} else {
-		// Closed-loop: each worker keeps one request in flight.
-		for w := 0; w < *concurrency; w++ {
-			wg.Add(1)
-			go runWorker(w, nil)
-		}
+		kind, unit = "track", "steps/s"
+		load.IMU, load.WiFi = *model, *wifiModel
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	ctx := context.Background()
+	scraper := client.New(*url, client.WithRetries(0, 0))
+	before := scrapeBatchStats(ctx, scraper, kind)
+	d, err := benchrig.Drive(ctx, *url, load)
+	if err != nil {
+		log.Fatal(err)
+	}
+	after := scrapeBatchStats(ctx, scraper, kind)
 
-	after := scrapeBatchStats(ctx, c, kind)
-
-	latMu.Lock()
-	sort.Float64s(lats)
-	latMu.Unlock()
-	q := func(p float64) float64 {
-		if len(lats) == 0 {
-			return 0
-		}
-		return lats[int(p*float64(len(lats)-1))] * 1000
-	}
-	var mean float64
-	for _, v := range lats {
-		mean += v
-	}
-	if len(lats) > 0 {
-		mean = mean / float64(len(lats)) * 1000
-	}
-
+	fmt.Printf("noble-loadgen report\n")
+	fmt.Printf("  mode        %s seed=%d (server models: wifi=%s imu=%s)\n", *mode, *seed, d.WiFi.Name, d.IMU.Name)
 	loop := "closed-loop"
 	if *qps > 0 {
-		loop = fmt.Sprintf("open-loop %.0f qps", *qps)
+		loop = fmt.Sprintf("open-loop %g qps", *qps)
 	}
-	unit := "req/s"
-	if *mode != "localize" {
-		unit = "steps/s"
-	}
-	fmt.Printf("noble-loadgen report\n")
-	fmt.Printf("  mode        %s seed=%d\n", *mode, *seed)
-	fmt.Printf("  load        %s, concurrency %d, %v\n", loop, *concurrency, duration.Round(time.Millisecond))
-	fmt.Printf("  requests    %d ok, %d errors\n", sent.Load()-errs.Load(), errs.Load())
-	if errs.Load() > 0 {
+	fmt.Printf("  load        %s, concurrency %d, %v\n", loop, *concurrency, d.Elapsed.Round(time.Millisecond))
+	fmt.Printf("  requests    %d ok, %d errors\n", d.Ok, d.Errors)
+	if d.Errors > 0 {
 		fmt.Printf("  errors      http-4xx=%d http-5xx=%d deadline=%d conn=%d\n",
-			errs4xx.Load(), errs5xx.Load(), errsDL.Load(), errsConn.Load())
+			d.ByClass[benchrig.ErrClass4xx], d.ByClass[benchrig.ErrClass5xx],
+			d.ByClass[benchrig.ErrClassDeadline], d.ByClass[benchrig.ErrClassConn])
+		if *mode == "stream" {
+			// A stream error is terminal for its device and recorded once.
+			fmt.Printf("  streams     %d device stream(s) ended early on an error\n", d.Errors)
+		}
 	}
-	if n := streamEnds.Load(); n > 0 {
-		fmt.Printf("  streams     %d device stream(s) ended early on an error\n", n)
+	if *qps > 0 {
+		fmt.Printf("  arrivals    %d offered, %d shed\n", d.Offered, d.Shed)
 	}
-	fmt.Printf("  throughput  %.1f %s\n", float64(sent.Load()-errs.Load())/elapsed.Seconds(), unit)
-	fmt.Printf("  latency ms  mean=%.2f p50=%.2f p90=%.2f p99=%.2f max=%.2f\n",
-		mean, q(0.50), q(0.90), q(0.99), q(1.0))
-	if after.passes > before.passes {
+	fmt.Printf("  throughput  %.1f %s\n", float64(d.Ok)/d.Elapsed.Seconds(), unit)
+	fmt.Printf("  latency ms  mean=%.2f p50=%.2f p95=%.2f p99=%.2f max=%.2f\n",
+		d.Latency.Mean, d.Latency.P50, d.Latency.P95, d.Latency.P99, d.Latency.Max)
+	if passes := after.passes - before.passes; passes > 0 {
 		rows := after.rows - before.rows
-		passes := after.passes - before.passes
 		fmt.Printf("  batching    %d %s rows in %d forward passes (avg batch %.2f)\n",
 			rows, kind, passes, float64(rows)/float64(passes))
 	} else {
@@ -376,44 +123,26 @@ func main() {
 	}
 }
 
-// pick selects a model of the wanted kind: the named one, or the first
-// of that kind when want is empty.
-func pick(models []client.ModelInfo, kind, want string) (client.ModelInfo, bool) {
-	for _, m := range models {
-		if m.Kind == kind && (want == "" || m.Name == want) {
-			return m, true
-		}
-	}
-	return client.ModelInfo{}, false
-}
-
 // batchStats is the server-side micro-batch counters from /metrics.
-type batchStats struct {
-	rows, passes, dropped int64
-}
+type batchStats struct{ rows, passes, dropped int64 }
 
 // scrapeBatchStats reads one batcher kind's noble_batch_rows_{sum,count}
 // and noble_batch_dropped_rows_total series from the server's metrics;
 // zeros on any failure (the report then omits batching).
 func scrapeBatchStats(ctx context.Context, c *client.Client, kind string) batchStats {
 	var out batchStats
-	text, err := c.Metrics(ctx)
-	if err != nil {
-		return out
-	}
-	sumPrefix := fmt.Sprintf("noble_batch_rows_sum{kind=%q} ", kind)
-	countPrefix := fmt.Sprintf("noble_batch_rows_count{kind=%q} ", kind)
-	dropPrefix := fmt.Sprintf("noble_batch_dropped_rows_total{kind=%q} ", kind)
-	sc := bufio.NewScanner(strings.NewReader(text))
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, sumPrefix):
-			out.rows, _ = strconv.ParseInt(strings.Fields(line)[1], 10, 64)
-		case strings.HasPrefix(line, countPrefix):
-			out.passes, _ = strconv.ParseInt(strings.Fields(line)[1], 10, 64)
-		case strings.HasPrefix(line, dropPrefix):
-			out.dropped, _ = strconv.ParseInt(strings.Fields(line)[1], 10, 64)
+	text, _ := c.Metrics(ctx)
+	label := fmt.Sprintf("{kind=%q}", kind)
+	for _, line := range strings.Split(text, "\n") {
+		series, value, _ := strings.Cut(line, " ")
+		n, _ := strconv.ParseInt(value, 10, 64)
+		switch series {
+		case "noble_batch_rows_sum" + label:
+			out.rows = n
+		case "noble_batch_rows_count" + label:
+			out.passes = n
+		case "noble_batch_dropped_rows_total" + label:
+			out.dropped = n
 		}
 	}
 	return out

@@ -4,7 +4,9 @@
 // the public client SDK — the same code path a device fleet uses — and
 // reduces each scenario to machine-readable numbers (throughput,
 // latency quantiles, server-side batch occupancy, error classes) for
-// BENCH.json.
+// BENCH.json. The driving half (Drive: worker loops, pacing, recorder,
+// error classes) is also the whole of cmd/noble-loadgen, pointed at a
+// server somebody else booted — the repo has one traffic generator.
 //
 // Methodology, shared by every scenario:
 //
@@ -31,10 +33,8 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"sync"
 	"time"
 
-	"noble/client"
 	"noble/internal/obs"
 	"noble/internal/serve"
 	"noble/internal/store"
@@ -64,8 +64,8 @@ type EngineOptions struct {
 	ShadowWiFi bool
 }
 
-// Scenario is one named workload. Run drives load until env.Expired()
-// and returns an error only for harness malfunction (cannot connect,
+// Scenario is one named workload. Run drives load until env.Next()
+// reports false and returns an error only for harness malfunction (cannot connect,
 // cannot open a stream) — per-request failures are data, recorded in
 // env.Rec, not errors.
 type Scenario struct {
@@ -77,11 +77,6 @@ type Scenario struct {
 	Engine      EngineOptions
 	Run         func(env *Env) error
 
-	// NeedsInt8 marks scenarios that drive the quantized tier: the pass
-	// fails up front (harness misconfiguration, not data) when the
-	// registry holds no int8 models.
-	NeedsInt8 bool
-
 	// OpsClasses lists error classes that still count as completed
 	// operations for throughput. The deadline scenario sets it to
 	// {"deadline"}: an intentionally expired request exercised the drop
@@ -90,39 +85,6 @@ type Scenario struct {
 	// scheduling noise. The classes still appear under errors in the
 	// report.
 	OpsClasses []string
-}
-
-// Env is what a scenario's Run sees: a client wired to the pass's
-// server, the recorder, and the pass boundary.
-type Env struct {
-	Ctx         context.Context
-	Client      *client.Client
-	Rec         *Recorder
-	Seed        int64
-	Concurrency int
-	WiFi        client.ModelInfo // first fp64 wifi-kind model
-	IMU         client.ModelInfo // first fp64 imu-kind model
-	WiFiInt8    client.ModelInfo // first int8 wifi-kind model (zero if none registered)
-	IMUInt8     client.ModelInfo // first int8 imu-kind model (zero if none registered)
-
-	deadline time.Time
-}
-
-// Expired reports whether the measured window is over; worker loops
-// check it before every operation.
-func (e *Env) Expired() bool { return !time.Now().Before(e.deadline) }
-
-// EachWorker runs f on n goroutines (worker index passed in) and waits.
-func (e *Env) EachWorker(n int, f func(w int)) {
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			f(w)
-		}(w)
-	}
-	wg.Wait()
 }
 
 // Rig runs scenarios. NewRegistry must return a freshly loaded model
@@ -293,8 +255,8 @@ func stageShadowWiFi(reg *serve.Registry) error {
 	return fmt.Errorf("no fp64 wifi model to stage a shadow of")
 }
 
-// runPass boots a fresh server, drives the scenario for dur, and tears
-// everything down.
+// runPass boots a fresh server, drives the scenario at it for dur, and
+// tears everything down.
 func (r *Rig) runPass(ctx context.Context, sc Scenario, dur time.Duration) (passOutcome, error) {
 	var zero passOutcome
 	reg, err := r.NewRegistry()
@@ -352,56 +314,14 @@ func (r *Rig) runPass(ctx context.Context, sc Scenario, dur time.Duration) (pass
 	go httpSrv.Serve(ln)
 	defer httpSrv.Close()
 
-	rec := NewRecorder()
-	c := client.New("http://"+ln.Addr().String(),
-		client.WithRetries(0, 0), // measure the server as it is
-		client.WithFastTransport(),
-		client.WithRequestHook(rec.Hook()),
-	)
-	models, err := c.Models(passCtx)
+	d, err := Drive(passCtx, "http://"+ln.Addr().String(), Load{
+		Run: sc.Run, Concurrency: sc.Concurrency, Duration: dur, Seed: r.Seed, FixEvery: fixEvery,
+	})
 	if err != nil {
-		return zero, fmt.Errorf("listing models: %w", err)
-	}
-	env := &Env{
-		Ctx:         passCtx,
-		Client:      c,
-		Rec:         rec,
-		Seed:        r.Seed,
-		Concurrency: sc.Concurrency,
-		deadline:    time.Now().Add(dur),
-	}
-	for _, m := range models {
-		// A model with no precision field (an old server) is fp64: the
-		// int8 tier always reports itself.
-		int8 := m.Precision == "int8"
-		switch {
-		case m.Kind == "wifi" && !int8 && env.WiFi.Name == "":
-			env.WiFi = m
-		case m.Kind == "imu" && !int8 && env.IMU.Name == "":
-			env.IMU = m
-		case m.Kind == "wifi" && int8 && env.WiFiInt8.Name == "":
-			env.WiFiInt8 = m
-		case m.Kind == "imu" && int8 && env.IMUInt8.Name == "":
-			env.IMUInt8 = m
-		}
-	}
-	if env.WiFi.Name == "" || env.IMU.Name == "" {
-		return zero, fmt.Errorf("need one fp64 wifi and one fp64 imu model, have %+v", models)
-	}
-	if sc.NeedsInt8 && (env.WiFiInt8.Name == "" || env.IMUInt8.Name == "") {
-		return zero, fmt.Errorf("scenario needs int8 models but the registry has none (have %+v)", models)
+		return zero, err
 	}
 
-	rec.Arm()
-	start := time.Now()
-	runErr := sc.Run(env)
-	elapsed := time.Since(start)
-	rec.Disarm()
-	if runErr != nil {
-		return zero, runErr
-	}
-
-	out := passOutcome{counts: rec.Snapshot(), elapsed: elapsed}
+	out := passOutcome{counts: d.Counts, elapsed: d.Elapsed}
 	out.ops = out.counts.Ok
 	for _, class := range sc.OpsClasses {
 		out.ops += out.counts.ByClass[class]

@@ -107,7 +107,7 @@ func TestRigRejectsZeroSuccessPasses(t *testing.T) {
 		// A scenario that never records a success must fail the run, not
 		// produce a zero-throughput result the gate would then trust.
 		Run: func(env *Env) error {
-			for !env.Expired() {
+			for env.Next() {
 				time.Sleep(5 * time.Millisecond)
 			}
 			return nil

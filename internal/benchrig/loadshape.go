@@ -1,12 +1,9 @@
-// Package loadshape is the shared vocabulary of synthetic device
-// traffic: payload synthesis and failure classification used by both
-// cmd/noble-loadgen (ad-hoc load runs) and internal/benchrig (the gated
-// noble-perf harness), so the two tools replay the same traffic shape
-// and bucket the identical failure identically. It is deliberately a
-// leaf package — stdlib plus the client SDK's error type only — so the
-// load generator does not link the server, WAL, or training stacks just
-// to share three helpers.
-package loadshape
+package benchrig
+
+// The vocabulary of synthetic device traffic: payload synthesis and
+// failure classification, shared by every driver so noble-perf and
+// noble-loadgen replay the same traffic shape and bucket the identical
+// failure identically.
 
 import (
 	"context"
@@ -20,11 +17,11 @@ import (
 	"noble/client"
 )
 
-// SynthFingerprint synthesizes one normalized WiFi scan: ~30% of WAPs
+// synthFingerprint synthesizes one normalized WiFi scan: ~30% of WAPs
 // heard, values rounded to 4 significant digits (integer dBm over a
 // ~75 dB span carries no more — full mantissas would triple the wire
 // size for precision no scan possesses).
-func SynthFingerprint(rng *rand.Rand, dim int) []float64 {
+func synthFingerprint(rng *rand.Rand, dim int) []float64 {
 	fp := make([]float64, dim)
 	for j := range fp {
 		if rng.Float64() < 0.7 {
@@ -35,10 +32,10 @@ func SynthFingerprint(rng *rand.Rand, dim int) []float64 {
 	return fp
 }
 
-// SynthSegment synthesizes one IMU segment's feature row: values shape
+// synthSegment synthesizes one IMU segment's feature row: values shape
 // the decoded positions, not the cost of a step, so rounded noise is
 // fine.
-func SynthSegment(rng *rand.Rand, dim int) []float64 {
+func synthSegment(rng *rand.Rand, dim int) []float64 {
 	seg := make([]float64, dim)
 	for j := range seg {
 		seg[j] = math.Round(rng.NormFloat64()*1e3) / 1e3
@@ -54,7 +51,7 @@ const (
 	ErrClassConn     = "conn"
 )
 
-// Classify maps a wire-exchange outcome onto an error class ("" =
+// classify maps a wire-exchange outcome onto an error class ("" =
 // success). A 504 is the server-side face of the same event as a
 // client-side deadline expiry (whichever side notices first is
 // scheduling luck), so both land in the deadline class — keeping
@@ -63,7 +60,7 @@ const (
 // context.DeadlineExceeded (net/http), os.ErrDeadlineExceeded or a
 // timeout net.Error (the SDK's fast transport enforces deadlines via
 // conn.SetDeadline).
-func Classify(status int, err error) string {
+func classify(status int, err error) string {
 	switch {
 	case err == nil && status < 400:
 		return ""
@@ -78,17 +75,17 @@ func Classify(status int, err error) string {
 	}
 }
 
-// ClassifyError classifies from an error alone: an *APIError carries
+// classifyError classifies from an error alone: an *APIError carries
 // its HTTP status, anything else is a transport-level failure.
-func ClassifyError(err error) string {
+func classifyError(err error) string {
 	if err == nil {
 		return ""
 	}
 	var ae *client.APIError
 	if errors.As(err, &ae) {
-		return Classify(ae.Status, nil)
+		return classify(ae.Status, nil)
 	}
-	return Classify(0, err)
+	return classify(0, err)
 }
 
 // isDeadlineErr recognizes every shape a client-side deadline expiry

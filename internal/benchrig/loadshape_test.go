@@ -1,4 +1,4 @@
-package loadshape
+package benchrig
 
 import (
 	"context"
@@ -40,24 +40,24 @@ func TestClassify(t *testing.T) {
 		{0, errors.New("connection refused"), ErrClassConn},
 	}
 	for _, c := range cases {
-		if got := Classify(c.status, c.err); got != c.want {
-			t.Fatalf("Classify(%d, %v) = %q, want %q", c.status, c.err, got, c.want)
+		if got := classify(c.status, c.err); got != c.want {
+			t.Fatalf("classify(%d, %v) = %q, want %q", c.status, c.err, got, c.want)
 		}
 	}
 }
 
 func TestClassifyError(t *testing.T) {
-	if got := ClassifyError(nil); got != "" {
+	if got := classifyError(nil); got != "" {
 		t.Fatalf("nil error classified %q", got)
 	}
 	// An APIError is classified by its carried status, not its text.
-	if got := ClassifyError(&client.APIError{Status: 504}); got != ErrClassDeadline {
+	if got := classifyError(&client.APIError{Status: 504}); got != ErrClassDeadline {
 		t.Fatalf("504 APIError classified %q", got)
 	}
-	if got := ClassifyError(&client.APIError{Status: 429}); got != ErrClass4xx {
+	if got := classifyError(&client.APIError{Status: 429}); got != ErrClass4xx {
 		t.Fatalf("429 APIError classified %q", got)
 	}
-	if got := ClassifyError(errors.New("boom")); got != ErrClassConn {
+	if got := classifyError(errors.New("boom")); got != ErrClassConn {
 		t.Fatalf("plain error classified %q", got)
 	}
 }
@@ -65,15 +65,15 @@ func TestClassifyError(t *testing.T) {
 func TestSynthDeterminism(t *testing.T) {
 	// Same seed, same stream — the property every BENCH comparison and
 	// cross-machine replay rests on.
-	a := SynthFingerprint(rand.New(rand.NewSource(7)), 32)
-	b := SynthFingerprint(rand.New(rand.NewSource(7)), 32)
+	a := synthFingerprint(rand.New(rand.NewSource(7)), 32)
+	b := synthFingerprint(rand.New(rand.NewSource(7)), 32)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("fingerprint diverged at %d: %v vs %v", i, a[i], b[i])
 		}
 	}
-	s1 := SynthSegment(rand.New(rand.NewSource(7)), 12)
-	s2 := SynthSegment(rand.New(rand.NewSource(7)), 12)
+	s1 := synthSegment(rand.New(rand.NewSource(7)), 12)
+	s2 := synthSegment(rand.New(rand.NewSource(7)), 12)
 	for i := range s1 {
 		if s1[i] != s2[i] {
 			t.Fatalf("segment diverged at %d", i)
@@ -81,7 +81,7 @@ func TestSynthDeterminism(t *testing.T) {
 	}
 	// And the scan shape holds: a fair share of WAPs unheard (zero).
 	zeros := 0
-	for _, v := range SynthFingerprint(rand.New(rand.NewSource(1)), 1000) {
+	for _, v := range synthFingerprint(rand.New(rand.NewSource(1)), 1000) {
 		if v == 0 {
 			zeros++
 		}

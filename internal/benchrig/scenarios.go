@@ -2,12 +2,12 @@ package benchrig
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
 
 	"noble/client"
-	"noble/internal/loadshape"
 )
 
 // Default engine tuning for batched scenarios — the production defaults
@@ -16,7 +16,7 @@ const (
 	defaultWindow   = 2 * time.Millisecond
 	defaultMaxBatch = 32
 	payloadPool     = 64 // pre-generated payloads per pass, reused round-robin
-	fixEvery        = 16 // tracking: WiFi re-anchor cadence in steps
+	fixEvery        = 16 // tracking: the suite's WiFi re-anchor cadence in steps
 	sessionWindow   = 2  // tracking: decode window in segments
 )
 
@@ -62,7 +62,6 @@ func Suite() []Scenario {
 			Unit:        "req/s",
 			Kinds:       []string{"localize"},
 			Engine:      batched,
-			NeedsInt8:   true,
 			Run: func(env *Env) error {
 				envQ := *env
 				envQ.WiFi = env.WiFiInt8
@@ -112,7 +111,6 @@ func Suite() []Scenario {
 			Unit:        "steps/s",
 			Kinds:       []string{"track", "localize"},
 			Engine:      batched,
-			NeedsInt8:   true,
 			Run: func(env *Env) error {
 				envQ := *env
 				envQ.IMU = env.IMUInt8
@@ -153,7 +151,7 @@ func Suite() []Scenario {
 			Kinds:       []string{"localize", "track"},
 			Engine:      batched,
 			Run:         runMixedDeadline,
-			OpsClasses:  []string{loadshape.ErrClassDeadline},
+			OpsClasses:  []string{ErrClassDeadline},
 		},
 		{
 			Name: "mixed_precision_c24",
@@ -163,7 +161,6 @@ func Suite() []Scenario {
 			Unit:        "req/s",
 			Kinds:       []string{"localize"},
 			Engine:      batched,
-			NeedsInt8:   true,
 			Run:         runMixedPrecision,
 		},
 	}
@@ -205,18 +202,21 @@ func deadlineFor(env *Env, d time.Duration) (context.Context, context.CancelFunc
 	return context.WithTimeout(env.Ctx, d)
 }
 
-// runLocalize is the closed-loop stateless localize workload: every
-// worker keeps one single-fingerprint request in flight. deadline may
-// assign a per-request deadline by (worker, step); nil means none.
-// Latency and errors are recorded by the client request hook.
+// runLocalize is the stateless localize workload: every worker keeps
+// one single-fingerprint request in flight. deadline may assign a
+// per-request deadline by (worker, step); nil means none. Latency and
+// errors are recorded by the client request hook.
 func runLocalize(env *Env, deadline func(w, step int) time.Duration) error {
+	if env.WiFi.Name == "" {
+		return errors.New("localize: no such wifi model on the server")
+	}
 	rng := env.rng()
 	pool := make([]*client.PreparedLocalize, payloadPool)
 	for i := range pool {
-		pool[i] = client.PrepareLocalize(env.WiFi.Name, loadshape.SynthFingerprint(rng, env.WiFi.InputDim))
+		pool[i] = client.PrepareLocalize(env.WiFi.Name, synthFingerprint(rng, env.WiFi.InputDim))
 	}
 	env.EachWorker(env.Concurrency, func(w int) {
-		for step := 0; !env.Expired(); step++ {
+		for step := 0; env.Next(); step++ {
 			var d time.Duration
 			if deadline != nil {
 				d = deadline(w, step)
@@ -230,35 +230,41 @@ func runLocalize(env *Env, deadline func(w, step int) time.Duration) error {
 	return nil
 }
 
-// trackRequests pre-builds one pass's session request pools.
-func trackRequests(env *Env) (create client.AppendRequest, steps, fixes []client.AppendRequest) {
+// trackRequests pre-builds one pass's session request pools; fixes is
+// empty when the env sends none.
+func trackRequests(env *Env) (create client.AppendRequest, steps, fixes []client.AppendRequest, err error) {
+	if env.IMU.Name == "" || env.FixEvery > 0 && env.WiFi.Name == "" {
+		return create, nil, nil, fmt.Errorf("track: no such model on the server (imu %q, wifi for fixes %q)", env.IMU.Name, env.WiFi.Name)
+	}
 	rng := env.rng()
 	create = client.AppendRequest{
 		Model: env.IMU.Name, Start: &client.XY{}, Window: sessionWindow,
-		Features: loadshape.SynthSegment(rng, env.IMU.SegmentDim),
+		Features: synthSegment(rng, env.IMU.SegmentDim),
 	}
 	steps = make([]client.AppendRequest, payloadPool)
 	for i := range steps {
-		steps[i] = client.AppendRequest{Features: loadshape.SynthSegment(rng, env.IMU.SegmentDim)}
+		steps[i] = client.AppendRequest{Features: synthSegment(rng, env.IMU.SegmentDim)}
 	}
-	fixes = make([]client.AppendRequest, payloadPool)
+	if env.FixEvery > 0 {
+		fixes = make([]client.AppendRequest, payloadPool)
+	}
 	for i := range fixes {
 		fixes[i] = client.AppendRequest{
-			Features:    loadshape.SynthSegment(rng, env.IMU.SegmentDim),
+			Features:    synthSegment(rng, env.IMU.SegmentDim),
 			WiFiModel:   env.WiFi.Name,
-			Fingerprint: loadshape.SynthFingerprint(rng, env.WiFi.InputDim),
+			Fingerprint: synthFingerprint(rng, env.WiFi.InputDim),
 		}
 	}
-	return create, steps, fixes
+	return create, steps, fixes, nil
 }
 
 // stepRequest sequences one tracking worker's traffic: create first,
 // then segment appends with a periodic WiFi fix.
-func stepRequest(step int, create client.AppendRequest, steps, fixes []client.AppendRequest) client.AppendRequest {
+func stepRequest(step, fixEvery int, create client.AppendRequest, steps, fixes []client.AppendRequest) client.AppendRequest {
 	switch {
 	case step == 0:
 		return create
-	case step%fixEvery == 0:
+	case fixEvery > 0 && step%fixEvery == 0:
 		return fixes[step%payloadPool]
 	default:
 		return steps[step%payloadPool]
@@ -269,16 +275,19 @@ func stepRequest(step int, create client.AppendRequest, steps, fixes []client.Ap
 // device session appending a segment per request. deadline is as in
 // runLocalize.
 func runTrackSessions(env *Env, deadline func(w, step int) time.Duration) error {
-	create, steps, fixes := trackRequests(env)
+	create, steps, fixes, err := trackRequests(env)
+	if err != nil {
+		return err
+	}
 	env.EachWorker(env.Concurrency, func(w int) {
 		sess := env.Client.Session(fmt.Sprintf("perf%d-%d", env.Seed, w))
-		for step := 0; !env.Expired(); step++ {
+		for step := 0; env.Next(); step++ {
 			var d time.Duration
 			if deadline != nil {
 				d = deadline(w, step)
 			}
 			ctx, cancel := deadlineFor(env, d)
-			_, _ = sess.Append(ctx, stepRequest(step, create, steps, fixes))
+			_, _ = sess.Append(ctx, stepRequest(step, env.FixEvery, create, steps, fixes))
 			cancel()
 		}
 	})
@@ -290,7 +299,10 @@ func runTrackSessions(env *Env, deadline func(w, step int) time.Duration) error 
 // stream bypasses the request hook, so each send→recv round trip is
 // recorded explicitly.
 func runTrackStream(env *Env) error {
-	create, steps, fixes := trackRequests(env)
+	create, steps, fixes, err := trackRequests(env)
+	if err != nil {
+		return err
+	}
 	errs := make(chan error, env.Concurrency)
 	env.EachWorker(env.Concurrency, func(w int) {
 		st, err := env.Client.TrackStream(env.Ctx, client.StreamOpen{
@@ -306,9 +318,9 @@ func runTrackStream(env *Env) error {
 			errs <- fmt.Errorf("worker %d: stream open ack: %w", w, err)
 			return
 		}
-		for step := 1; !env.Expired(); step++ {
+		for step := 1; env.Next(); step++ {
 			t0 := time.Now()
-			err := st.Send(stepRequest(step, create, steps, fixes))
+			err := st.Send(stepRequest(step, env.FixEvery, create, steps, fixes))
 			if err == nil {
 				_, err = st.Recv()
 			}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"noble/client"
-	"noble/internal/loadshape"
 )
 
 // Recorder collects per-operation latency and error-class counts for one
@@ -35,21 +34,18 @@ func NewRecorder() *Recorder {
 // Arm starts accepting observations.
 func (r *Recorder) Arm() { r.armed.Store(true) }
 
-// Disarm stops accepting observations.
-func (r *Recorder) Disarm() { r.armed.Store(false) }
-
 // Hook adapts the recorder to the client SDK's per-request hook: one
 // observation per wire exchange, classified by status and error.
 func (r *Recorder) Hook() client.RequestHook {
 	return func(o client.RequestObservation) {
-		r.observe(o.Duration, loadshape.Classify(o.Status, o.Err))
+		r.observe(o.Duration, classify(o.Status, o.Err))
 	}
 }
 
 // Record logs one operation timed by the scenario itself (streaming
 // scenarios, where no hook fires). err nil means success.
 func (r *Recorder) Record(d time.Duration, err error) {
-	r.observe(d, loadshape.ClassifyError(err))
+	r.observe(d, classifyError(err))
 }
 
 // observe files one observation under its class.
