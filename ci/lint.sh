@@ -14,6 +14,7 @@
 #                is not installed (CI always has it)
 #   govulncheck  known-vuln scan over the call graph — likewise
 #                optional locally, required in CI
+#   fuzz-smoke   every committed fuzz target for 10 s (ci/fuzz-smoke.sh)
 #
 # Usage: ci/lint.sh
 set -euo pipefail
@@ -69,6 +70,9 @@ if command -v govulncheck >/dev/null 2>&1; then
 else
     echo "   govulncheck not installed; skipping (CI runs it — go install golang.org/x/vuln/cmd/govulncheck@latest)"
 fi
+
+echo "== fuzz-smoke"
+ci/fuzz-smoke.sh || fail=1
 
 if [ "$fail" -ne 0 ]; then
     echo "FAIL: lint"

@@ -126,7 +126,7 @@ func main() {
 // batchStats is the server-side micro-batch counters from /metrics.
 type batchStats struct{ rows, passes, dropped int64 }
 
-// scrapeBatchStats reads one batcher kind's noble_batch_rows_{sum,count}
+// scrapeBatchStats reads one batcher kind's noble_batch_size_{sum,count}
 // and noble_batch_dropped_rows_total series from the server's metrics;
 // zeros on any failure (the report then omits batching).
 func scrapeBatchStats(ctx context.Context, c *client.Client, kind string) batchStats {
@@ -137,9 +137,9 @@ func scrapeBatchStats(ctx context.Context, c *client.Client, kind string) batchS
 		series, value, _ := strings.Cut(line, " ")
 		n, _ := strconv.ParseInt(value, 10, 64)
 		switch series {
-		case "noble_batch_rows_sum" + label:
+		case "noble_batch_size_sum" + label:
 			out.rows = n
-		case "noble_batch_rows_count" + label:
+		case "noble_batch_size_count" + label:
 			out.passes = n
 		case "noble_batch_dropped_rows_total" + label:
 			out.dropped = n

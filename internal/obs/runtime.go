@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"runtime"
 	"time"
@@ -56,28 +55,12 @@ func ReadRuntime() RuntimeSnapshot {
 // text exposition format, for the /metrics endpoint.
 func WriteRuntimePrometheus(w io.Writer) {
 	s := ReadRuntime()
-	fmt.Fprintln(w, "# HELP noble_goroutines Live goroutines.")
-	fmt.Fprintln(w, "# TYPE noble_goroutines gauge")
-	fmt.Fprintf(w, "noble_goroutines %d\n", s.Goroutines)
-	fmt.Fprintln(w, "# HELP noble_heap_alloc_bytes Live heap bytes.")
-	fmt.Fprintln(w, "# TYPE noble_heap_alloc_bytes gauge")
-	fmt.Fprintf(w, "noble_heap_alloc_bytes %d\n", s.HeapAllocBytes)
-	fmt.Fprintln(w, "# HELP noble_heap_sys_bytes Heap bytes obtained from the OS.")
-	fmt.Fprintln(w, "# TYPE noble_heap_sys_bytes gauge")
-	fmt.Fprintf(w, "noble_heap_sys_bytes %d\n", s.HeapSysBytes)
-	fmt.Fprintln(w, "# HELP noble_heap_objects Live heap objects.")
-	fmt.Fprintln(w, "# TYPE noble_heap_objects gauge")
-	fmt.Fprintf(w, "noble_heap_objects %d\n", s.HeapObjects)
-	fmt.Fprintln(w, "# HELP noble_gc_runs_total Completed GC cycles.")
-	fmt.Fprintln(w, "# TYPE noble_gc_runs_total counter")
-	fmt.Fprintf(w, "noble_gc_runs_total %d\n", s.NumGC)
-	fmt.Fprintln(w, "# HELP noble_gc_pause_seconds_total Cumulative stop-the-world GC pause.")
-	fmt.Fprintln(w, "# TYPE noble_gc_pause_seconds_total counter")
-	fmt.Fprintf(w, "noble_gc_pause_seconds_total %.6f\n", s.GCPauseTotalMs/1e3)
-	fmt.Fprintln(w, "# HELP noble_gc_last_pause_seconds Most recent stop-the-world GC pause.")
-	fmt.Fprintln(w, "# TYPE noble_gc_last_pause_seconds gauge")
-	fmt.Fprintf(w, "noble_gc_last_pause_seconds %.6f\n", s.GCLastPauseMs/1e3)
-	fmt.Fprintln(w, "# HELP noble_gc_cpu_fraction Fraction of CPU spent in GC since process start.")
-	fmt.Fprintln(w, "# TYPE noble_gc_cpu_fraction gauge")
-	fmt.Fprintf(w, "noble_gc_cpu_fraction %.6f\n", s.GCCPUFraction)
+	Single(w, "noble_goroutines", "gauge", "Live goroutines.", s.Goroutines)
+	Single(w, "noble_heap_alloc_bytes", "gauge", "Live heap bytes.", s.HeapAllocBytes)
+	Single(w, "noble_heap_sys_bytes", "gauge", "Heap bytes obtained from the OS.", s.HeapSysBytes)
+	Single(w, "noble_heap_objects", "gauge", "Live heap objects.", s.HeapObjects)
+	Single(w, "noble_gc_runs_total", "counter", "Completed GC cycles.", s.NumGC)
+	Single(w, "noble_gc_pause_seconds_total", "counter", "Cumulative stop-the-world GC pause.", s.GCPauseTotalMs/1e3)
+	Single(w, "noble_gc_last_pause_seconds", "gauge", "Most recent stop-the-world GC pause.", s.GCLastPauseMs/1e3)
+	Single(w, "noble_gc_cpu_fraction", "gauge", "Fraction of CPU spent in GC since process start.", s.GCCPUFraction)
 }

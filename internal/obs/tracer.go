@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -528,42 +530,26 @@ func (t *Tracer) WritePrometheus(w io.Writer) {
 		return
 	}
 	snap := t.StageSnapshot()
-	names := make([]string, 0, len(snap))
-	for name := range snap {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := slices.Sorted(maps.Keys(snap))
 
-	fmt.Fprintln(w, "# HELP noble_stage_seconds Per-stage request latency (total = whole request).")
-	fmt.Fprintln(w, "# TYPE noble_stage_seconds histogram")
+	f := NewFamily(w, "noble_stage_seconds", "histogram", "Per-stage request latency (total = whole request).")
 	for _, name := range names {
 		s := snap[name]
-		var cum int64
-		for i, le := range stageBounds {
-			cum += s.Buckets[i]
-			fmt.Fprintf(w, "noble_stage_seconds_bucket{stage=%q,le=\"%g\"} %d\n", name, le, cum)
-		}
-		fmt.Fprintf(w, "noble_stage_seconds_bucket{stage=%q,le=\"+Inf\"} %d\n", name, s.Count)
-		fmt.Fprintf(w, "noble_stage_seconds_sum{stage=%q} %.6f\n", name, s.SumSeconds)
-		fmt.Fprintf(w, "noble_stage_seconds_count{stage=%q} %d\n", name, s.Count)
+		Histogram(f, fmt.Sprintf("stage=%q", name), stageBounds, s.Buckets, s.Count, s.SumSeconds)
 	}
-	fmt.Fprintln(w, "# HELP noble_stage_max_seconds Largest single observation per stage, with its trace ID as exemplar.")
-	fmt.Fprintln(w, "# TYPE noble_stage_max_seconds gauge")
+	f = NewFamily(w, "noble_stage_max_seconds", "gauge", "Largest single observation per stage, with its trace ID as exemplar.")
 	t.stageMu.RLock()
 	for _, name := range names {
 		h := t.stageH[name]
 		h.mu.Lock()
 		ex := h.exemplar
 		h.mu.Unlock()
-		fmt.Fprintf(w, "noble_stage_max_seconds{stage=%q,trace_id=%q} %.6f\n", name, ex, snap[name].MaxSeconds)
+		f.Sample("", fmt.Sprintf("stage=%q,trace_id=%q", name, ex), snap[name].MaxSeconds)
 	}
 	t.stageMu.RUnlock()
-	fmt.Fprintln(w, "# HELP noble_traces_total Finished traces, by outcome class.")
-	fmt.Fprintln(w, "# TYPE noble_traces_total counter")
-	fmt.Fprintf(w, "noble_traces_total{class=\"all\"} %d\n", t.traces.Load())
-	fmt.Fprintf(w, "noble_traces_total{class=\"errored\"} %d\n", t.errored.Load())
-	fmt.Fprintf(w, "noble_traces_total{class=\"slow\"} %d\n", t.slow.Load())
-	fmt.Fprintln(w, "# HELP noble_trace_truncated_spans_total Spans dropped past the per-trace cap.")
-	fmt.Fprintln(w, "# TYPE noble_trace_truncated_spans_total counter")
-	fmt.Fprintf(w, "noble_trace_truncated_spans_total %d\n", t.truncSpan.Load())
+	f = NewFamily(w, "noble_traces_total", "counter", "Finished traces, by outcome class.")
+	f.Sample("", `class="all"`, t.traces.Load())
+	f.Sample("", `class="errored"`, t.errored.Load())
+	f.Sample("", `class="slow"`, t.slow.Load())
+	Single(w, "noble_trace_truncated_spans_total", "counter", "Spans dropped past the per-trace cap.", t.truncSpan.Load())
 }

@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"noble/internal/obs"
 	"noble/internal/serve"
 )
 
@@ -351,38 +354,23 @@ func totalFixes(counts map[string]int) int {
 func (m *Manager) WritePrometheus(w io.Writer) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	fmt.Fprintln(w, "# HELP noble_retrain_corpus_fixes Harvested re-anchor fixes in the training corpus, by model.")
-	fmt.Fprintln(w, "# TYPE noble_retrain_corpus_fixes gauge")
-	models := make([]string, 0, len(m.corpusFixes))
-	for model := range m.corpusFixes {
-		models = append(models, model)
+	f := obs.NewFamily(w, "noble_retrain_corpus_fixes", "gauge", "Harvested re-anchor fixes in the training corpus, by model.")
+	for _, model := range slices.Sorted(maps.Keys(m.corpusFixes)) {
+		f.Sample("", fmt.Sprintf("model=%q", model), m.corpusFixes[model])
 	}
-	sort.Strings(models)
-	for _, model := range models {
-		fmt.Fprintf(w, "noble_retrain_corpus_fixes{model=%q} %d\n", model, m.corpusFixes[model])
-	}
-	fmt.Fprintln(w, "# HELP noble_retrain_corpus_generation Persisted corpus generation (bumped by every harvest save).")
-	fmt.Fprintln(w, "# TYPE noble_retrain_corpus_generation gauge")
-	fmt.Fprintf(w, "noble_retrain_corpus_generation %d\n", m.corpusGen)
-	fmt.Fprintln(w, "# HELP noble_retrain_harvested_fixes_total Fixes newly added to the corpus across all harvest passes.")
-	fmt.Fprintln(w, "# TYPE noble_retrain_harvested_fixes_total counter")
-	fmt.Fprintf(w, "noble_retrain_harvested_fixes_total %d\n", m.harvested)
-	fmt.Fprintln(w, "# HELP noble_retrain_runs_total Retrain attempts, by outcome.")
-	fmt.Fprintln(w, "# TYPE noble_retrain_runs_total counter")
-	fmt.Fprintf(w, "noble_retrain_runs_total{status=\"ok\"} %d\n", m.runs-m.failures)
-	fmt.Fprintf(w, "noble_retrain_runs_total{status=\"error\"} %d\n", m.failures)
-	fmt.Fprintln(w, "# HELP noble_retrain_last_run_unixtime Wall clock of the last finished retrain (0 before any).")
-	fmt.Fprintln(w, "# TYPE noble_retrain_last_run_unixtime gauge")
+	obs.Single(w, "noble_retrain_corpus_generation", "gauge", "Persisted corpus generation (bumped by every harvest save).", m.corpusGen)
+	obs.Single(w, "noble_retrain_harvested_fixes_total", "counter", "Fixes newly added to the corpus across all harvest passes.", m.harvested)
+	f = obs.NewFamily(w, "noble_retrain_runs_total", "counter", "Retrain attempts, by outcome.")
+	f.Sample("", `status="ok"`, m.runs-m.failures)
+	f.Sample("", `status="error"`, m.failures)
 	last := int64(0)
 	if m.lastRun != nil {
 		last = m.lastRun.Finished.Unix()
 	}
-	fmt.Fprintf(w, "noble_retrain_last_run_unixtime %d\n", last)
-	fmt.Fprintln(w, "# HELP noble_retrain_busy Whether a retrain is in flight.")
-	fmt.Fprintln(w, "# TYPE noble_retrain_busy gauge")
+	obs.Single(w, "noble_retrain_last_run_unixtime", "gauge", "Wall clock of the last finished retrain (0 before any).", last)
 	busy := 0
 	if m.busy {
 		busy = 1
 	}
-	fmt.Fprintf(w, "noble_retrain_busy %d\n", busy)
+	obs.Single(w, "noble_retrain_busy", "gauge", "Whether a retrain is in flight.", busy)
 }

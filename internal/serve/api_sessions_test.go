@@ -388,8 +388,8 @@ func TestSessionEvictionAndMetrics(t *testing.T) {
 		`noble_sessions_total{event="evicted"} 1`,
 		"noble_session_steps_total",
 		"noble_session_reanchors_total",
-		`noble_batch_rows_count{kind="track"}`,
-		`noble_batch_rows_count{kind="localize"}`,
+		`noble_batch_size_count{kind="track"}`,
+		`noble_batch_size_count{kind="localize"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, body)

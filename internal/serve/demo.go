@@ -186,11 +186,14 @@ func ensureWiFiDemo(dir string, spec demoSpec, logf func(string, ...any)) error 
 		// than retraining: the twin must shadow the weights actually
 		// being served. The base manifest's spec wins over ours — the
 		// directory may hold a different scale.
-		loaded, man, lds, err := loadWiFiBundle(filepath.Join(dir, "demo-wifi"))
+		base, err := restoreBundle(filepath.Join(dir, "demo-wifi"))
+		if err == nil && base.man.Kind != KindWiFi {
+			err = fmt.Errorf("it is a %s bundle", base.man.Kind)
+		}
 		if err != nil {
 			return fmt.Errorf("serve: rebuilding demo-wifi-int8 from existing base: %w", err)
 		}
-		model, ds, wifi = loaded, lds, man.WiFi
+		model, ds, wifi = base.model.WiFi, base.wifiDS, base.man.WiFi
 	}
 	if needInt8 {
 		logf("calibrating demo-wifi-int8 (accuracy gate, budget %.1f%%)...",
@@ -231,11 +234,14 @@ func ensureIMUDemo(dir string, spec demoSpec, logf func(string, ...any)) error {
 			return err
 		}
 	} else {
-		loaded, man, lds, err := loadIMUBundle(filepath.Join(dir, "demo-imu"))
+		base, err := restoreBundle(filepath.Join(dir, "demo-imu"))
+		if err == nil && base.man.Kind != KindIMU {
+			err = fmt.Errorf("it is a %s bundle", base.man.Kind)
+		}
 		if err != nil {
 			return fmt.Errorf("serve: rebuilding demo-imu-int8 from existing base: %w", err)
 		}
-		model, ds, bundle = loaded, lds, *man.IMU
+		model, ds, bundle = base.model.IMU, base.imuDS, *base.man.IMU
 	}
 	if needInt8 {
 		logf("calibrating demo-imu-int8 (accuracy gate, budget %.1f%%)...",
@@ -260,45 +266,4 @@ func nonzeroOr(v, def float64) float64 {
 		return v
 	}
 	return def
-}
-
-// loadWiFiBundle restores a wifi bundle's model together with its
-// manifest and regenerated dataset — what the twin-publishing path
-// needs beyond LoadBundle's *Model.
-func loadWiFiBundle(dir string) (*core.WiFiModel, *Manifest, *dataset.WiFi, error) {
-	man, wf, err := openBundle(dir)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	defer wf.Close()
-	if man.Kind != KindWiFi || man.WiFi == nil {
-		return nil, nil, nil, fmt.Errorf("serve: %s is not a wifi bundle", dir)
-	}
-	ds, err := man.WiFi.BuildWiFiDataset()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	model := core.NewWiFiModel(ds, man.WiFi.Config)
-	if err := model.Load(wf); err != nil {
-		return nil, nil, nil, err
-	}
-	return model, man, ds, nil
-}
-
-// loadIMUBundle is loadWiFiBundle's IMU mirror.
-func loadIMUBundle(dir string) (*core.IMUModel, *Manifest, *imu.PathDataset, error) {
-	man, wf, err := openBundle(dir)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	defer wf.Close()
-	if man.Kind != KindIMU || man.IMU == nil {
-		return nil, nil, nil, fmt.Errorf("serve: %s is not an imu bundle", dir)
-	}
-	ds := man.IMU.BuildIMUDataset()
-	model := core.NewIMUModel(ds, man.IMU.Config)
-	if err := model.Load(wf); err != nil {
-		return nil, nil, nil, err
-	}
-	return model, man, ds, nil
 }

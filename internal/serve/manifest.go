@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"noble/internal/core"
 	"noble/internal/dataset"
@@ -79,79 +80,104 @@ func (b *IMUBundle) BuildIMUDataset() *imu.PathDataset {
 	return imu.BuildPaths(track, b.Paths)
 }
 
+// parseManifest decodes manifest bytes and settles the weights name:
+// defaulted when omitted, refused unless it is a plain file name — the
+// manifest is bytes the registry did not write, and a path in it must
+// not be able to name a file outside the bundle directory.
+func parseManifest(raw []byte) (*Manifest, error) {
+	var man Manifest
+	if err := json.Unmarshal(raw, &man); err != nil {
+		return nil, err
+	}
+	if man.Weights == "" {
+		man.Weights = defaultWeightsFile
+	}
+	if w := man.Weights; w == "." || !filepath.IsLocal(w) || strings.ContainsAny(w, `/\`) {
+		return nil, fmt.Errorf("weights %q is not a file name inside the bundle", w)
+	}
+	return &man, nil
+}
+
 // openBundle reads a bundle's manifest and opens its weights file; the
 // caller owns closing the returned file.
 func openBundle(dir string) (*Manifest, *os.File, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	path := filepath.Join(dir, "manifest.json")
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: reading bundle manifest: %w", err)
 	}
-	var man Manifest
-	if err := json.Unmarshal(raw, &man); err != nil {
-		return nil, nil, fmt.Errorf("serve: parsing %s: %w", filepath.Join(dir, "manifest.json"), err)
+	man, err := parseManifest(raw)
+	if err != nil {
+		return nil, nil, fmt.Errorf("serve: parsing %s: %w", path, err)
 	}
-	weights := man.Weights
-	if weights == "" {
-		weights = defaultWeightsFile
-	}
-	wf, err := os.Open(filepath.Join(dir, weights))
+	wf, err := os.Open(filepath.Join(dir, man.Weights))
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: opening bundle weights: %w", err)
 	}
-	return &man, wf, nil
+	return man, wf, nil
 }
 
-// LoadBundle reads the bundle in dir, rebuilds the model architecture from
-// the manifest's dataset spec, restores the saved weights, and — for an
-// int8 bundle — replays the calibration and re-runs the accuracy gate.
-// The returned Model is named after the bundle directory.
-func LoadBundle(dir string) (*Model, error) {
-	manp, wf, err := openBundle(dir)
+// restoredBundle is a bundle as its files describe it, before the
+// precision tier: the fp64 model, the manifest, and the regenerated
+// dataset of the model's kind (the other one is nil).
+type restoredBundle struct {
+	model  *Model
+	man    *Manifest
+	wifiDS *dataset.WiFi
+	imuDS  *imu.PathDataset
+}
+
+// restoreBundle reads the bundle in dir, rebuilds the model architecture
+// from the manifest's dataset spec, and restores the saved weights. The
+// Model is named after the bundle directory.
+func restoreBundle(dir string) (*restoredBundle, error) {
+	man, wf, err := openBundle(dir)
 	if err != nil {
 		return nil, err
 	}
-	man := *manp
 	defer wf.Close()
 
 	m := &Model{Name: filepath.Base(dir), Kind: man.Kind}
-	var (
-		wifiDS *dataset.WiFi
-		imuDS  *imu.PathDataset
-	)
+	b := &restoredBundle{model: m, man: man}
 	switch man.Kind {
 	case KindWiFi:
 		if man.WiFi == nil {
 			return nil, fmt.Errorf("serve: bundle %s: kind wifi without wifi spec", m.Name)
 		}
-		wifiDS, err = man.WiFi.BuildWiFiDataset()
-		if err != nil {
+		if b.wifiDS, err = man.WiFi.BuildWiFiDataset(); err != nil {
 			return nil, err
 		}
-		model := core.NewWiFiModel(wifiDS, man.WiFi.Config)
-		if err := model.Load(wf); err != nil {
-			return nil, fmt.Errorf("serve: bundle %s: %w", m.Name, err)
-		}
-		m.WiFi = model
+		m.WiFi = core.NewWiFiModel(b.wifiDS, man.WiFi.Config)
+		err = m.WiFi.Load(wf)
 	case KindIMU:
 		if man.IMU == nil {
 			return nil, fmt.Errorf("serve: bundle %s: kind imu without imu spec", m.Name)
 		}
-		imuDS = man.IMU.BuildIMUDataset()
-		model := core.NewIMUModel(imuDS, man.IMU.Config)
-		if err := model.Load(wf); err != nil {
-			return nil, fmt.Errorf("serve: bundle %s: %w", m.Name, err)
-		}
-		m.IMU = model
+		b.imuDS = man.IMU.BuildIMUDataset()
+		m.IMU = core.NewIMUModel(b.imuDS, man.IMU.Config)
+		err = m.IMU.Load(wf)
 	default:
 		return nil, fmt.Errorf("serve: bundle %s: unknown kind %q", m.Name, man.Kind)
 	}
-	// Precision tier: replay the calibration and re-run the accuracy
-	// gate against the regenerated held-out split. A bundle that fails
-	// here never reaches the registry.
-	if err := applyPrecision(dir, &man, m, wifiDS, imuDS); err != nil {
+	if err != nil {
+		return nil, fmt.Errorf("serve: bundle %s: %w", m.Name, err)
+	}
+	return b, nil
+}
+
+// LoadBundle restores the bundle in dir and — for an int8 bundle —
+// replays the calibration and re-runs the accuracy gate against the
+// regenerated held-out split. A bundle that fails there never reaches
+// the registry.
+func LoadBundle(dir string) (*Model, error) {
+	b, err := restoreBundle(dir)
+	if err != nil {
 		return nil, err
 	}
-	return m, nil
+	if err := applyPrecision(dir, b.man, b.model, b.wifiDS, b.imuDS); err != nil {
+		return nil, err
+	}
+	return b.model, nil
 }
 
 // ExtraFile is an additional bundle payload file (e.g. the int8

@@ -3,10 +3,14 @@ package serve
 import (
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"noble/internal/obs"
 )
 
 // latencyWindow is how many recent samples per endpoint back the quantile
@@ -206,71 +210,36 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	names := make([]string, 0, len(m.endpoints))
-	for name := range m.endpoints {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := slices.Sorted(maps.Keys(m.endpoints))
 
-	fmt.Fprintln(w, "# HELP noble_requests_total Requests served, by endpoint and status code.")
-	fmt.Fprintln(w, "# TYPE noble_requests_total counter")
+	f := obs.NewFamily(w, "noble_requests_total", "counter", "Requests served, by endpoint and status code.")
 	for _, name := range names {
 		s := m.endpoints[name]
-		codes := make([]int, 0, len(s.codes))
-		for c := range s.codes {
-			codes = append(codes, c)
-		}
-		sort.Ints(codes)
-		for _, c := range codes {
-			fmt.Fprintf(w, "noble_requests_total{endpoint=%q,code=\"%d\"} %d\n", name, c, s.codes[c])
+		for _, c := range slices.Sorted(maps.Keys(s.codes)) {
+			f.Sample("", fmt.Sprintf("endpoint=%q,code=\"%d\"", name, c), s.codes[c])
 		}
 	}
 
-	fmt.Fprintln(w, "# HELP noble_request_latency_seconds Request latency quantiles over a sliding window.")
-	fmt.Fprintln(w, "# TYPE noble_request_latency_seconds summary")
+	f = obs.NewFamily(w, "noble_request_latency_seconds", "summary", "Request latency quantiles over a sliding window.")
 	for _, name := range names {
 		s := m.endpoints[name]
 		vals := append([]float64(nil), s.ring...)
 		sort.Float64s(vals)
 		for _, q := range []float64{0.5, 0.9, 0.99} {
-			fmt.Fprintf(w, "noble_request_latency_seconds{endpoint=%q,quantile=\"%g\"} %.6f\n",
-				name, q, quantile(vals, q))
+			f.Sample("", fmt.Sprintf("endpoint=%q,quantile=\"%g\"", name, q), quantile(vals, q))
 		}
-		fmt.Fprintf(w, "noble_request_latency_seconds_count{endpoint=%q} %d\n", name, s.n)
+		f.Sample("_count", fmt.Sprintf("endpoint=%q", name), s.n)
 	}
 
-	kinds := make([]string, 0, len(m.batches))
-	for kind := range m.batches {
-		kinds = append(kinds, kind)
-	}
-	sort.Strings(kinds)
-	fmt.Fprintln(w, "# HELP noble_batch_rows Rows (fingerprints or paths) coalesced into batched forward passes, by batcher kind.")
-	fmt.Fprintln(w, "# TYPE noble_batch_rows counter")
+	kinds := slices.Sorted(maps.Keys(m.batches))
+	f = obs.NewFamily(w, "noble_batch_size", "histogram", "Forward-pass sizes (rows per pass) as a cumulative histogram, by batcher kind.")
 	for _, kind := range kinds {
 		s := m.batches[kind]
-		fmt.Fprintf(w, "noble_batch_rows_sum{kind=%q} %d\n", kind, s.rows)
-		fmt.Fprintf(w, "noble_batch_rows_count{kind=%q} %d\n", kind, s.count)
-		fmt.Fprintf(w, "noble_batch_rows_max{kind=%q} %d\n", kind, s.max)
+		obs.Histogram(f, fmt.Sprintf("kind=%q", kind), batchSizeBuckets, s.hist[:], s.count, s.rows)
 	}
-	fmt.Fprintln(w, "# HELP noble_batch_size Forward-pass sizes (rows per pass) as a cumulative histogram, by batcher kind.")
-	fmt.Fprintln(w, "# TYPE noble_batch_size histogram")
+	f = obs.NewFamily(w, "noble_batch_dropped_rows_total", "counter", "Rows dropped from batch queues because their request was canceled before the pass fired.")
 	for _, kind := range kinds {
-		s := m.batches[kind]
-		var cum int64
-		for i, le := range batchSizeBuckets {
-			cum += s.hist[i]
-			fmt.Fprintf(w, "noble_batch_size_bucket{kind=%q,le=\"%d\"} %d\n", kind, le, cum)
-		}
-		fmt.Fprintf(w, "noble_batch_size_bucket{kind=%q,le=\"+Inf\"} %d\n", kind, s.count)
-		fmt.Fprintf(w, "noble_batch_size_sum{kind=%q} %d\n", kind, s.rows)
-		fmt.Fprintf(w, "noble_batch_size_count{kind=%q} %d\n", kind, s.count)
+		f.Sample("", fmt.Sprintf("kind=%q", kind), m.batches[kind].dropped)
 	}
-	fmt.Fprintln(w, "# HELP noble_batch_dropped_rows_total Rows dropped from batch queues because their request was canceled before the pass fired.")
-	fmt.Fprintln(w, "# TYPE noble_batch_dropped_rows_total counter")
-	for _, kind := range kinds {
-		fmt.Fprintf(w, "noble_batch_dropped_rows_total{kind=%q} %d\n", kind, m.batches[kind].dropped)
-	}
-	fmt.Fprintln(w, "# HELP noble_request_ids_assigned_total Server-assigned request IDs handed out (the /v2 X-Request-Id sequence).")
-	fmt.Fprintln(w, "# TYPE noble_request_ids_assigned_total counter")
-	fmt.Fprintf(w, "noble_request_ids_assigned_total %d\n", m.requestIDs.Load())
+	obs.Single(w, "noble_request_ids_assigned_total", "counter", "Server-assigned request IDs handed out (the /v2 X-Request-Id sequence).", m.requestIDs.Load())
 }

@@ -13,6 +13,10 @@ func TestSizeBucketsPairing(t *testing.T) {
 		t.Fatalf("numSizeBuckets = %d, want len(batchSizeBuckets)+1 = %d",
 			numSizeBuckets, len(batchSizeBuckets)+1)
 	}
+	if numErrorBuckets != len(lifecycleErrorBuckets)+1 {
+		t.Fatalf("numErrorBuckets = %d, want len(lifecycleErrorBuckets)+1 = %d",
+			numErrorBuckets, len(lifecycleErrorBuckets)+1)
+	}
 }
 
 func TestBatchSnapshotHistogram(t *testing.T) {

@@ -33,6 +33,7 @@ package serve
 
 import (
 	"context"
+	"math"
 	"time"
 
 	"noble/internal/core"
@@ -227,4 +228,10 @@ func (e *Engine) scoreStagedWiFi(model string, fingerprint []float64, fixPos geo
 		}
 		st.Stats.RecordScore(distM(preds[0].Pos.X, preds[0].Pos.Y, fixPos.X, fixPos.Y))
 	}()
+}
+
+// distM is the planar distance between two points in meters.
+func distM(ax, ay, bx, by float64) float64 {
+	dx, dy := ax-bx, ay-by
+	return math.Sqrt(dx*dx + dy*dy)
 }

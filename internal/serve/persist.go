@@ -233,9 +233,7 @@ func (e *Engine) lifecycleCarryEvents() []*store.Event {
 		if d.Staged != nil {
 			add(d.Name, d.Staged.BundleID, d.Staged.Stage)
 		}
-	}
-	for name, id := range e.reg.RetiredDisk() {
-		add(name, id, StageRetired)
+		add(d.Name, d.RetiredDisk, StageRetired)
 	}
 	return evs
 }

@@ -261,10 +261,11 @@ func TestReloadPrecisionFlipUnderTraffic(t *testing.T) {
 
 	// Mid-traffic: quantize a fresh copy of the same weights and
 	// republish the bundle as int8, then hot-reload.
-	qmodel, man, qds, err := loadWiFiBundle(filepath.Join(dir, "flip"))
+	base, err := restoreBundle(filepath.Join(dir, "flip"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	qmodel, man, qds := base.model.WiFi, base.man, base.wifiDS
 	cal, err := QuantizeWiFiModel(qmodel, qds, QuantizeOptions{BudgetPct: MaxErrorBudgetPct})
 	if err != nil {
 		t.Fatal(err)

@@ -239,7 +239,7 @@ func TestModelsHealthzMetrics(t *testing.T) {
 	for _, want := range []string{
 		`noble_requests_total{endpoint="localize",code="404"} 1`,
 		"noble_request_latency_seconds",
-		"noble_batch_rows_count",
+		"noble_batch_size_count",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, body)

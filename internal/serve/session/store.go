@@ -2,11 +2,12 @@ package session
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"noble/internal/obs"
 )
 
 // numShards is the lock-stripe width. 64 shards keep the per-shard maps
@@ -262,18 +263,11 @@ func (st *Store) Snapshot() Stats {
 // Prometheus text exposition format.
 func (st *Store) WritePrometheus(w io.Writer) {
 	s := st.Snapshot()
-	fmt.Fprintln(w, "# HELP noble_sessions_active Live tracking sessions.")
-	fmt.Fprintln(w, "# TYPE noble_sessions_active gauge")
-	fmt.Fprintf(w, "noble_sessions_active %d\n", s.Active)
-	fmt.Fprintln(w, "# HELP noble_sessions_total Tracking sessions by lifecycle event.")
-	fmt.Fprintln(w, "# TYPE noble_sessions_total counter")
-	fmt.Fprintf(w, "noble_sessions_total{event=\"created\"} %d\n", s.Created)
-	fmt.Fprintf(w, "noble_sessions_total{event=\"evicted\"} %d\n", s.Evicted)
-	fmt.Fprintf(w, "noble_sessions_total{event=\"deleted\"} %d\n", s.Deleted)
-	fmt.Fprintln(w, "# HELP noble_session_steps_total IMU segments committed across all sessions.")
-	fmt.Fprintln(w, "# TYPE noble_session_steps_total counter")
-	fmt.Fprintf(w, "noble_session_steps_total %d\n", s.Steps)
-	fmt.Fprintln(w, "# HELP noble_session_reanchors_total WiFi fixes fused into session trajectories.")
-	fmt.Fprintln(w, "# TYPE noble_session_reanchors_total counter")
-	fmt.Fprintf(w, "noble_session_reanchors_total %d\n", s.ReAnchors)
+	obs.Single(w, "noble_sessions_active", "gauge", "Live tracking sessions.", s.Active)
+	f := obs.NewFamily(w, "noble_sessions_total", "counter", "Tracking sessions by lifecycle event.")
+	f.Sample("", `event="created"`, s.Created)
+	f.Sample("", `event="evicted"`, s.Evicted)
+	f.Sample("", `event="deleted"`, s.Deleted)
+	obs.Single(w, "noble_session_steps_total", "counter", "IMU segments committed across all sessions.", s.Steps)
+	obs.Single(w, "noble_session_reanchors_total", "counter", "WiFi fixes fused into session trajectories.", s.ReAnchors)
 }

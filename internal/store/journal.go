@@ -12,6 +12,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"noble/internal/obs"
 )
 
 // FsyncPolicy decides when appended records become crash-durable.
@@ -589,44 +591,21 @@ func (j *Journal) WritePrometheus(w io.Writer) {
 		}
 		sh.mu.Unlock()
 	}
-	fmt.Fprintln(w, "# HELP noble_journal_appends_total Events appended to the journal, by event type.")
-	fmt.Fprintln(w, "# TYPE noble_journal_appends_total counter")
+	f := obs.NewFamily(w, "noble_journal_appends_total", "counter", "Events appended to the journal, by event type.")
 	for _, t := range []EventType{EvCreate, EvSteps, EvReAnchor, EvClose, EvLifecycle} {
-		fmt.Fprintf(w, "noble_journal_appends_total{event=%q} %d\n", t.String(), j.appends[t].Load())
+		f.Sample("", fmt.Sprintf("event=%q", t.String()), j.appends[t].Load())
 	}
-	fmt.Fprintln(w, "# HELP noble_journal_append_errors_total Journal append failures (events lost to the journal, serving unaffected).")
-	fmt.Fprintln(w, "# TYPE noble_journal_append_errors_total counter")
-	fmt.Fprintf(w, "noble_journal_append_errors_total %d\n", j.appendErrors.Load())
-	fmt.Fprintln(w, "# HELP noble_journal_bytes_total Framed record bytes appended.")
-	fmt.Fprintln(w, "# TYPE noble_journal_bytes_total counter")
-	fmt.Fprintf(w, "noble_journal_bytes_total %d\n", j.bytes.Load())
-	fmt.Fprintln(w, "# HELP noble_journal_unsynced_bytes Appended bytes not yet flushed+fsynced.")
-	fmt.Fprintln(w, "# TYPE noble_journal_unsynced_bytes gauge")
-	fmt.Fprintf(w, "noble_journal_unsynced_bytes %d\n", unsynced)
-	fmt.Fprintln(w, "# HELP noble_journal_lag_seconds Age of the oldest unsynced append (0 when clean).")
-	fmt.Fprintln(w, "# TYPE noble_journal_lag_seconds gauge")
-	fmt.Fprintf(w, "noble_journal_lag_seconds %.6f\n", lag.Seconds())
-	fmt.Fprintln(w, "# HELP noble_journal_rotations_total WAL segment rotations.")
-	fmt.Fprintln(w, "# TYPE noble_journal_rotations_total counter")
-	fmt.Fprintf(w, "noble_journal_rotations_total %d\n", j.rotations.Load())
-	fmt.Fprintln(w, "# HELP noble_journal_syncs_total Explicit flush+fsync operations.")
-	fmt.Fprintln(w, "# TYPE noble_journal_syncs_total counter")
-	fmt.Fprintf(w, "noble_journal_syncs_total %d\n", j.syncs.Load())
-	fmt.Fprintln(w, "# HELP noble_journal_sync_errors_total Failed flush+fsync attempts (the shard stays dirty and is retried).")
-	fmt.Fprintln(w, "# TYPE noble_journal_sync_errors_total counter")
-	fmt.Fprintf(w, "noble_journal_sync_errors_total %d\n", j.syncErrors.Load())
-	fmt.Fprintln(w, "# HELP noble_journal_snapshots_total Compaction snapshots written.")
-	fmt.Fprintln(w, "# TYPE noble_journal_snapshots_total counter")
-	fmt.Fprintf(w, "noble_journal_snapshots_total %d\n", j.snapshots.Load())
-	fmt.Fprintln(w, "# HELP noble_journal_recovered_sessions Sessions restored from the journal at startup.")
-	fmt.Fprintln(w, "# TYPE noble_journal_recovered_sessions gauge")
-	fmt.Fprintf(w, "noble_journal_recovered_sessions %d\n", j.recovered.Load())
-	fmt.Fprintln(w, "# HELP noble_journal_recovery_skipped_sessions Sessions in the journal that could not be restored (model missing or history damaged).")
-	fmt.Fprintln(w, "# TYPE noble_journal_recovery_skipped_sessions gauge")
-	fmt.Fprintf(w, "noble_journal_recovery_skipped_sessions %d\n", j.recSkipped.Load())
-	fmt.Fprintln(w, "# HELP noble_journal_torn_records_total Torn or corrupt records dropped at the last recovery.")
-	fmt.Fprintln(w, "# TYPE noble_journal_torn_records_total gauge")
-	fmt.Fprintf(w, "noble_journal_torn_records_total %d\n", j.recTorn.Load())
+	obs.Single(w, "noble_journal_append_errors_total", "counter", "Journal append failures (events lost to the journal, serving unaffected).", j.appendErrors.Load())
+	obs.Single(w, "noble_journal_bytes_total", "counter", "Framed record bytes appended.", j.bytes.Load())
+	obs.Single(w, "noble_journal_unsynced_bytes", "gauge", "Appended bytes not yet flushed+fsynced.", unsynced)
+	obs.Single(w, "noble_journal_lag_seconds", "gauge", "Age of the oldest unsynced append (0 when clean).", lag.Seconds())
+	obs.Single(w, "noble_journal_rotations_total", "counter", "WAL segment rotations.", j.rotations.Load())
+	obs.Single(w, "noble_journal_syncs_total", "counter", "Explicit flush+fsync operations.", j.syncs.Load())
+	obs.Single(w, "noble_journal_sync_errors_total", "counter", "Failed flush+fsync attempts (the shard stays dirty and is retried).", j.syncErrors.Load())
+	obs.Single(w, "noble_journal_snapshots_total", "counter", "Compaction snapshots written.", j.snapshots.Load())
+	obs.Single(w, "noble_journal_recovered_sessions", "gauge", "Sessions restored from the journal at startup.", j.recovered.Load())
+	obs.Single(w, "noble_journal_recovery_skipped_sessions", "gauge", "Sessions in the journal that could not be restored (model missing or history damaged).", j.recSkipped.Load())
+	obs.Single(w, "noble_journal_torn_records_total", "gauge", "Torn or corrupt records dropped at the last recovery.", j.recTorn.Load())
 }
 
 // --- file naming -----------------------------------------------------
