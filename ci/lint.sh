@@ -15,6 +15,8 @@
 #   govulncheck  known-vuln scan over the call graph — likewise
 #                optional locally, required in CI
 #   fuzz-smoke   every committed fuzz target for 10 s (ci/fuzz-smoke.sh)
+#   batcher x20  the batcher's tests 20 times under the race detector, so
+#                one that depends on timing shows up as a flake here
 #
 # Usage: ci/lint.sh
 set -euo pipefail
@@ -73,6 +75,9 @@ fi
 
 echo "== fuzz-smoke"
 ci/fuzz-smoke.sh || fail=1
+
+echo "== batcher tests x20 under -race"
+go test -race -count=20 -run 'Batcher' ./internal/serve/ || fail=1
 
 if [ "$fail" -ne 0 ]; then
     echo "FAIL: lint"

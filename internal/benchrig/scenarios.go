@@ -143,8 +143,8 @@ func Suite() []Scenario {
 		{
 			Name: "mixed_deadline_c24",
 			Description: "deadline-heavy mixed traffic: 16 localize + 8 session-track workers, " +
-				"every request deadlined, every 4th localize deadline set below the batch window " +
-				"so expiry and queue-drop paths stay hot; expired requests count as completed ops " +
+				"every request deadlined, every 4th localize deadline (1 ms) set below the wait behind " +
+				"a running pass so expiry and queue-drop paths stay hot; expired requests count as completed ops " +
 				"(expiry is the designed outcome) but still show under errors",
 			Concurrency: 24,
 			Unit:        "ops/s",
@@ -341,8 +341,9 @@ func runTrackStream(env *Env) error {
 }
 
 // Mixed-traffic deadline ladder: every request carries a deadline; every
-// 4th localize request gets one below the 2 ms batch window, so a
-// deterministic slice of traffic exercises expiry + queue-drop.
+// 4th localize request gets one below what a request queued behind a
+// running pass waits, so a deterministic slice of traffic exercises
+// expiry + queue-drop.
 const (
 	generousDeadline = 25 * time.Millisecond
 	tightDeadline    = 1 * time.Millisecond

@@ -247,6 +247,7 @@ func TestSessionTrackingMatchesPathTracker(t *testing.T) {
 // the prediction it would have computed alone.
 func TestBatchedSessionStepsMatchUnbatched(t *testing.T) {
 	s := newTestServer(t, 5*time.Millisecond)
+	g := gatePasses(s.engine.imuBatcher)
 	const n = 16
 	paths := imuDS.Test
 	if len(paths) < n {
@@ -255,7 +256,8 @@ func TestBatchedSessionStepsMatchUnbatched(t *testing.T) {
 	segDim := imuModel.SegmentDim()
 
 	// Create sessions sequentially (cheap), then fire all first steps
-	// concurrently so they meet in the batcher.
+	// concurrently behind a /v1/track pass the gate holds open, so they
+	// meet in the batcher's queue whatever the scheduler does.
 	for i := 0; i < n; i++ {
 		w, _ := postSession(t, s, fmt.Sprintf("dev-%d", i), SessionSegmentsRequest{
 			Model: "imu-test",
@@ -280,7 +282,9 @@ func TestBatchedSessionStepsMatchUnbatched(t *testing.T) {
 			json.Unmarshal(w.Body.Bytes(), &results[i])
 		}(i)
 	}
+	release := holdPass(t, g, func() int { return postJSON(t, s.Handler(), "/v1/track", trackBody(paths[0])).Code })
 	close(start)
+	rideOnePass(t, g, s.engine.imuBatcher, "imu-test", n, release)
 	wg.Wait()
 
 	for i := 0; i < n; i++ {
@@ -297,20 +301,26 @@ func TestBatchedSessionStepsMatchUnbatched(t *testing.T) {
 			t.Fatalf("device %d: batched step %+v != direct %+v", i, got, want)
 		}
 	}
-	passes, rows := s.metrics.BatchStats("track")
-	if rows != n {
-		t.Fatalf("track batcher saw %d rows, want %d", rows, n)
+	// The held request's pass plus exactly one for the n steps.
+	if passes, rows := s.metrics.BatchStats("track"); passes != 2 || rows != n+1 {
+		t.Fatalf("track batcher ran %d passes over %d rows, want 2 over %d", passes, rows, n+1)
 	}
-	if passes >= n {
-		t.Fatalf("no coalescing: %d passes for %d concurrent steps", passes, n)
-	}
-	t.Logf("coalesced %d session steps into %d forward passes", n, passes)
+}
+
+// trackBody is a one-path /v1/track request for the imu-test model.
+func trackBody(p imu.Path) string {
+	raw, _ := json.Marshal(TrackRequest{Model: "imu-test", Paths: []TrackPath{{
+		Start:    XY{X: p.Start.X, Y: p.Start.Y},
+		Features: p.Features,
+	}}})
+	return string(raw)
 }
 
 // TestBatchedTrackMatchesUnbatched covers the same property for the
 // stateless /v1/track endpoint, which now rides the track batcher too.
 func TestBatchedTrackMatchesUnbatched(t *testing.T) {
 	s := newTestServer(t, 5*time.Millisecond)
+	g := gatePasses(s.engine.imuBatcher)
 	const n = 12
 	paths := imuDS.Test
 	if len(paths) < n {
@@ -324,12 +334,9 @@ func TestBatchedTrackMatchesUnbatched(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			raw, _ := json.Marshal(TrackRequest{Model: "imu-test", Paths: []TrackPath{{
-				Start:    XY{X: paths[i].Start.X, Y: paths[i].Start.Y},
-				Features: paths[i].Features,
-			}}})
+			raw := trackBody(paths[i])
 			<-start
-			w := postJSON(t, s.Handler(), "/v1/track", string(raw))
+			w := postJSON(t, s.Handler(), "/v1/track", raw)
 			codes[i] = w.Code
 			var resp TrackResponse
 			if err := json.Unmarshal(w.Body.Bytes(), &resp); err == nil && len(resp.Results) == 1 {
@@ -337,7 +344,9 @@ func TestBatchedTrackMatchesUnbatched(t *testing.T) {
 			}
 		}(i)
 	}
+	release := holdPass(t, g, func() int { return postJSON(t, s.Handler(), "/v1/track", trackBody(paths[0])).Code })
 	close(start)
+	rideOnePass(t, g, s.engine.imuBatcher, "imu-test", n, release)
 	wg.Wait()
 	for i := 0; i < n; i++ {
 		if codes[i] != http.StatusOK {
@@ -348,8 +357,8 @@ func TestBatchedTrackMatchesUnbatched(t *testing.T) {
 			t.Fatalf("request %d: batched %+v != direct %+v", i, results[i], want)
 		}
 	}
-	if passes, _ := s.metrics.BatchStats("track"); passes >= n {
-		t.Fatalf("no coalescing: %d passes for %d concurrent requests", passes, n)
+	if passes, rows := s.metrics.BatchStats("track"); passes != 2 || rows != n+1 {
+		t.Fatalf("track batcher ran %d passes over %d rows, want 2 over %d", passes, rows, n+1)
 	}
 }
 

@@ -132,14 +132,18 @@ func TestV2LocalizeAndTrackHappyPath(t *testing.T) {
 }
 
 func TestV2DeadlineExpiresInBatchQueue(t *testing.T) {
-	// Batch window far longer than the deadline: a lone request's pass
-	// fires after the arrival-gap grace (window/32 = 62ms here), so a
-	// 15ms deadline expires while the job is still queued. It must come
-	// back 504/deadline_exceeded, and its rows must be dropped from the
-	// queue rather than spent in a forward pass.
-	s := newTestServer(t, 2*time.Second)
+	// A request whose deadline runs out while it queues behind a running
+	// pass must come back 504/deadline_exceeded, and its rows must be
+	// dropped from the queue rather than spent in a forward pass. The
+	// pass gate keeps request A's pass open so B cannot get aboard one.
+	s := newTestServer(t, 20*time.Millisecond)
+	g := gatePasses(s.engine.wifiBatcher)
 	raw, _ := json.Marshal(LocalizeRequest{Model: "wifi-test", Fingerprints: [][]float64{wifiDS.Test[0].Features}})
+	holdA := func() (release func()) {
+		return holdPass(t, g, func() int { return postJSON(t, s.Handler(), "/v2/localize", string(raw)).Code })
+	}
 
+	release := holdA()
 	req := httptest.NewRequest(http.MethodPost, "/v2/localize", bytes.NewReader(raw))
 	req.Header.Set("X-Deadline-Ms", "15")
 	w := httptest.NewRecorder()
@@ -154,21 +158,19 @@ func TestV2DeadlineExpiresInBatchQueue(t *testing.T) {
 	if e := decodeEnvelope(t, w.Body.Bytes()); e.Code != CodeDeadlineExceeded {
 		t.Fatalf("code %q, want deadline_exceeded", e.Code)
 	}
+	release()
 
-	// Wait for the window to elapse so the dispatcher processed (and
-	// dropped) the abandoned job.
-	deadline := time.Now().Add(2 * time.Second)
-	for s.metrics.BatchDropped("localize") == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	// The dispatcher drops the abandoned job at its next take.
+	eventually(t, "the abandoned job's drop", func() bool { return s.metrics.BatchDropped("localize") != 0 })
 	if d := s.metrics.BatchDropped("localize"); d != 1 {
 		t.Fatalf("dropped rows %d, want 1", d)
 	}
-	if _, rows := s.metrics.BatchStats("localize"); rows != 0 {
-		t.Fatalf("forward passes consumed %d rows for a request that was canceled", rows)
+	if passes, rows := s.metrics.BatchStats("localize"); passes != 1 || rows != 1 {
+		t.Fatalf("%d passes consumed %d rows, want only A's 1 and 1: the canceled request must not reach a pass", passes, rows)
 	}
 
 	// The body field works too (and the stricter of the two wins).
+	release = holdA()
 	raw2, _ := json.Marshal(map[string]any{
 		"model": "wifi-test", "fingerprints": [][]float64{wifiDS.Test[0].Features}, "deadline_ms": 10,
 	})
@@ -176,20 +178,26 @@ func TestV2DeadlineExpiresInBatchQueue(t *testing.T) {
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("deadline_ms body field: status %d, want 504", w.Code)
 	}
+	release()
 }
 
 func TestV2SessionDeadlinePartialCommitIs504(t *testing.T) {
 	// A deadline expiring while a segment waits in the track batcher
-	// answers with the error's own status (504), not a generic 500, and
-	// the body still carries the session identity for the
-	// resend-the-tail protocol.
-	s := newTestServer(t, 2*time.Second)
+	// (here: behind a /v2/track pass the gate holds open) answers with
+	// the error's own status (504), not a generic 500, and the body
+	// still carries the session identity for the resend-the-tail
+	// protocol.
+	s := newTestServer(t, 20*time.Millisecond)
+	g := gatePasses(s.engine.imuBatcher)
+	release := holdPass(t, g, func() int { return postJSON(t, s.Handler(), "/v2/track", trackBody(imuDS.Test[0])).Code })
+
 	seg := imuDS.Test[0].Features[:imuModel.SegmentDim()]
 	raw, _ := json.Marshal(SessionSegmentsRequest{Model: "imu-test", Start: &XY{}, Features: seg})
 	req := httptest.NewRequest(http.MethodPost, "/v2/sessions/dl504/segments", bytes.NewReader(raw))
 	req.Header.Set("X-Deadline-Ms", "15")
 	w := httptest.NewRecorder()
 	s.Handler().ServeHTTP(w, req)
+	release()
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504; body %s", w.Code, w.Body)
 	}
@@ -199,6 +207,13 @@ func TestV2SessionDeadlinePartialCommitIs504(t *testing.T) {
 	}
 	if resp.Session != "dl504" || resp.Error == nil || resp.Error.Code != CodeDeadlineExceeded {
 		t.Fatalf("partial-commit body %s", w.Body)
+	}
+	eventually(t, "the abandoned segment's drop", func() bool { return s.metrics.BatchDropped("track") != 0 })
+	if d := s.metrics.BatchDropped("track"); d != 1 {
+		t.Fatalf("dropped rows %d, want 1", d)
+	}
+	if passes, rows := s.metrics.BatchStats("track"); passes != 1 || rows != 1 {
+		t.Fatalf("%d passes consumed %d rows, want only the held request's 1 and 1", passes, rows)
 	}
 }
 

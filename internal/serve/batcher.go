@@ -21,16 +21,21 @@ type PredictFunc[R, P any] func(model string, rows []R) ([]P, error)
 // (*core.WiFiModel).PredictBatch) and track/session traffic (imu.Path
 // rows through (*core.IMUModel).PredictPaths).
 //
-// It runs continuous batching with arrival-gap pass boundaries: a
-// per-model dispatcher goroutine accumulates requests while they keep
-// streaming in, fires a pass at the first pause in the stream (or at
-// MaxBatch rows, or Window after the pass's first request — whichever
-// comes first), and immediately starts accumulating the next pass while
-// the results fan out. Under sustained load passes run back to back with
-// whatever arrived during the previous pass; the Window bounds how long
-// any single request can sit waiting for companions. After Window of
-// complete silence the dispatcher exits; the next request starts a fresh
-// one.
+// It runs continuous batching: a per-model dispatcher goroutine
+// accumulates requests and fires a pass at the first of four exits —
+// MaxBatch rows are queued ("full"), as many jobs are queued as the
+// model has recently had in flight at once ("cohort"), the arrival
+// stream pauses ("gap"), or Window has passed since the pass's first
+// request ("window") — and starts accumulating the next pass as soon as
+// the results have fanned out. The cohort exit is what makes waiting
+// load-aware: a lone closed-loop caller is a cohort of one and never
+// waits, N lock-step callers fire on the N-th arrival, and uncoordinated
+// traffic, whose in-flight peak stays above what is queued at any
+// instant, falls through to the gap and Window timers. Window is the
+// upper bound on waiting for company the batcher has reason to expect.
+// Under sustained load passes run back to back with whatever arrived
+// during the previous pass. After Window of complete silence the
+// dispatcher exits; the next request starts a fresh one.
 //
 // With Window <= 0 every request runs its own pass (the unbatched
 // baseline). Results are split back per request in arrival order. The
@@ -69,6 +74,24 @@ type batchQueue[R, P any] struct {
 	rows    int
 	running bool          // a dispatcher goroutine is active for this model
 	notify  chan struct{} // cap 1; poked on every enqueue
+
+	// The cohort estimate: inflight counts jobs submitted and not yet
+	// answered or dropped (queued plus riding the running pass);
+	// peakCur/peakPrev are its maxima over the current and the previous
+	// epoch of cohortEpoch passes.
+	inflight, peakCur, peakPrev, passes int
+}
+
+// cohortEpoch is how many passes one epoch of the in-flight peak spans.
+// The estimate covers two epochs, so a burst stops inflating a lone
+// caller's cohort within 2*cohortEpoch of its own requests.
+const cohortEpoch = 64
+
+// cohort is how many jobs the model has recently had in flight at once:
+// the company a forming pass can expect. A stale or inflated value only
+// defers the pass to the gap and Window exits.
+func (q *batchQueue[R, P]) cohort() int {
+	return max(q.peakCur, q.peakPrev, 1)
 }
 
 // NewBatcher builds a batcher over a predict callback. kind labels the
@@ -113,6 +136,8 @@ func (b *Batcher[R, P]) Submit(ctx context.Context, model string, rows []R) ([]P
 	}
 	q.jobs = append(q.jobs, job)
 	q.rows += len(rows)
+	q.inflight++
+	q.peakCur = max(q.peakCur, q.inflight)
 	spawn := !q.running
 	if spawn {
 		q.running = true
@@ -138,16 +163,21 @@ func (b *Batcher[R, P]) Submit(ctx context.Context, model string, rows []R) ([]P
 // dispatch drains one model's queue in passes until the queue stays
 // silent for a full Window, then exits.
 //
-// Pass boundaries come from arrival-gap detection: while requests keep
-// streaming in (inter-arrival gaps below the grace threshold, a small
-// fraction of Window), the dispatcher keeps accumulating; the first
-// pause in the stream — the sign that the
-// concurrent cohort has fully arrived — fires the pass. The wait is also
-// bounded by Window in total and by MaxBatch rows, so a pass fires at
-// most Window after its first request no matter how traffic trickles.
-// This is stateless, so it cannot lock into a degenerate batch size: a
-// lone request waits only one gap, a burst coalesces into one pass, and
-// sustained load runs full passes back to back.
+// A forming pass fires at the first of: MaxBatch rows queued; as many
+// jobs queued as the model's cohort (see batchQueue.cohort), i.e. all
+// the company recent traffic says to expect is aboard; a pause in the
+// arrival stream longer than the grace threshold, a small fraction of
+// Window; Window since the stage began. The two timers are the fallback
+// for traffic whose concurrency the count cannot pin down, and they cost
+// what the runtime charges, not what they ask for: an idle Go runtime
+// rounds a sub-millisecond timer up to about 1 ms (a lone Submit over a
+// no-op predict, bench's serve.batcher.noop_submit_us, took 1,119 us
+// against the 62 us gap before the cohort exit existed and 1.9 us with
+// it: docs/measurements/pr17-batcher-cohort.md), so a pass that leaves by
+// "gap" on an otherwise idle process has waited about a millisecond.
+// The cohort only ever adds an earlier exit: when it is stale or
+// inflated the pass falls back to the timers, never to a smaller batch
+// than they would have formed.
 func (b *Batcher[R, P]) dispatch(model string, q *batchQueue[R, P]) {
 	timer := time.NewTimer(b.Window)
 	defer timer.Stop()
@@ -180,23 +210,31 @@ func (b *Batcher[R, P]) dispatch(model string, q *batchQueue[R, P]) {
 			}
 		}
 
+		// A job that slips in as the idle timer fires leaves on that timer.
+		reason := fireWindow
 		if !idle {
-			// Fill stage: accumulate while the arrival stream is hot,
-			// bounded by Window overall and MaxBatch rows.
+			// Fill stage: accumulate until the pass is full, the cohort is
+			// aboard, the arrival stream pauses or Window runs out.
 			resetTimer(timer, b.Window)
 			resetTimer(graceTimer, grace)
 		fill:
 			for {
 				b.mu.Lock()
-				rows := q.rows
+				rows, aboard := q.rows, len(q.jobs) >= q.cohort()
 				b.mu.Unlock()
 				if rows >= b.MaxBatch {
+					reason = fireFull
+					break
+				}
+				if aboard {
+					reason = fireCohort
 					break
 				}
 				select {
 				case <-q.notify:
 					resetTimer(graceTimer, grace)
 				case <-graceTimer.C:
+					reason = fireGap
 					break fill
 				case <-timer.C:
 					break fill
@@ -226,6 +264,7 @@ func (b *Batcher[R, P]) dispatch(model string, q *batchQueue[R, P]) {
 			if j.ctx.Err() != nil {
 				q.jobs = q.jobs[1:]
 				q.rows -= len(j.rows)
+				q.inflight--
 				dropped += len(j.rows)
 				j.err = j.ctx.Err()
 				close(j.done)
@@ -248,7 +287,10 @@ func (b *Batcher[R, P]) dispatch(model string, q *batchQueue[R, P]) {
 			b.metrics.ObserveBatchDrop(b.kind, dropped)
 		}
 		if len(take) > 0 {
-			b.flush(model, take)
+			if b.metrics != nil {
+				b.metrics.ObserveBatchFire(b.kind, reason)
+			}
+			b.flush(model, q, take)
 		}
 	}
 }
@@ -272,8 +314,10 @@ func resetTimer(t *time.Timer, d time.Duration) {
 // here: its own queue_wait (enqueue to pass start) and the shared
 // batch_pass, annotated with the pass's kind and total row count —
 // recorded before done is closed, so the submitting goroutine never
-// observes its job finished with the spans still missing.
-func (b *Batcher[R, P]) flush(model string, jobs []*batchJob[R, P]) {
+// observes its job finished with the spans still missing. The riders
+// leave the in-flight count before done is closed too: a closed-loop
+// caller's next Submit must not find its own previous job still counted.
+func (b *Batcher[R, P]) flush(model string, q *batchQueue[R, P], jobs []*batchJob[R, P]) {
 	var rows []R
 	for _, j := range jobs {
 		rows = append(rows, j.rows...)
@@ -281,6 +325,12 @@ func (b *Batcher[R, P]) flush(model string, jobs []*batchJob[R, P]) {
 	passStart := time.Now()
 	preds, err := b.run(model, rows)
 	passEnd := time.Now()
+	b.mu.Lock()
+	q.inflight -= len(jobs)
+	if q.passes++; q.passes == cohortEpoch {
+		q.peakPrev, q.peakCur, q.passes = q.peakCur, q.inflight, 0
+	}
+	b.mu.Unlock()
 	off := 0
 	for _, j := range jobs {
 		if err != nil {

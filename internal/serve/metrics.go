@@ -42,8 +42,23 @@ type batchKindStats struct {
 	max     int64 // largest pass observed
 	dropped int64 // rows dropped because their request was canceled while queued
 
-	hist [numSizeBuckets]int64 // per batchSizeBuckets bound, +1 overflow
+	hist  [numSizeBuckets]int64 // per batchSizeBuckets bound, +1 overflow
+	fires [numFireReasons]int64 // batched passes by the exit that fired them
 }
+
+// fireReason names the fill-stage exit that fired a batched pass; see
+// Batcher.dispatch.
+type fireReason int
+
+const (
+	fireFull   fireReason = iota // MaxBatch rows were queued
+	fireCohort                   // as many jobs were queued as recently ran concurrently
+	fireGap                      // the arrival stream paused
+	fireWindow                   // Window ran out
+	numFireReasons
+)
+
+var fireReasonNames = [numFireReasons]string{"full", "cohort", "gap", "window"}
 
 // numSizeBuckets = len(batchSizeBuckets) + 1 (the overflow slot); array
 // sizes need a constant, so the pairing is asserted in TestMetrics.
@@ -97,9 +112,18 @@ func NewMetrics() *Metrics {
 func (m *Metrics) registerBatchKind(kind string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.batches[kind] == nil {
-		m.batches[kind] = &batchKindStats{}
+	m.batchKind(kind)
+}
+
+// batchKind returns a kind's counters, creating them on first use. The
+// caller holds m.mu.
+func (m *Metrics) batchKind(kind string) *batchKindStats {
+	s := m.batches[kind]
+	if s == nil {
+		s = &batchKindStats{}
+		m.batches[kind] = s
 	}
+	return s
 }
 
 // Observe records one finished request.
@@ -126,11 +150,7 @@ func (m *Metrics) Observe(endpoint string, code int, d time.Duration) {
 func (m *Metrics) ObserveBatch(kind string, size int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := m.batches[kind]
-	if s == nil {
-		s = &batchKindStats{}
-		m.batches[kind] = s
-	}
+	s := m.batchKind(kind)
 	s.count++
 	s.rows += int64(size)
 	if int64(size) > s.max {
@@ -139,16 +159,22 @@ func (m *Metrics) ObserveBatch(kind string, size int) {
 	s.hist[sizeBucket(size)]++
 }
 
+// ObserveBatchFire records why one batched pass of the given kind
+// stopped waiting for company. Unbatched passes (Window <= 0) never
+// wait and are not counted.
+func (m *Metrics) ObserveBatchFire(kind string, reason fireReason) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s := m.batchKind(kind)
+	s.fires[reason]++
+}
+
 // ObserveBatchDrop records rows dropped from a batch queue because
 // their request's context was done before the pass fired.
 func (m *Metrics) ObserveBatchDrop(kind string, rows int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := m.batches[kind]
-	if s == nil {
-		s = &batchKindStats{}
-		m.batches[kind] = s
-	}
+	s := m.batchKind(kind)
 	s.dropped += int64(rows)
 }
 
@@ -236,6 +262,12 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	for _, kind := range kinds {
 		s := m.batches[kind]
 		obs.Histogram(f, fmt.Sprintf("kind=%q", kind), batchSizeBuckets, s.hist[:], s.count, s.rows)
+	}
+	f = obs.NewFamily(w, "noble_batch_fires_total", "counter", "Batched forward passes by the exit that fired them: full (MaxBatch rows), cohort (as many jobs queued as recently ran concurrently), gap (arrivals paused), window (the batch window ran out).")
+	for _, kind := range kinds {
+		for r, name := range fireReasonNames {
+			f.Sample("", fmt.Sprintf("kind=%q,reason=%q", kind, name), m.batches[kind].fires[r])
+		}
 	}
 	f = obs.NewFamily(w, "noble_batch_dropped_rows_total", "counter", "Rows dropped from batch queues because their request was canceled before the pass fired.")
 	for _, kind := range kinds {

@@ -249,9 +249,11 @@ func TestModelsHealthzMetrics(t *testing.T) {
 
 func TestBatchedLocalizeMatchesUnbatched(t *testing.T) {
 	// Concurrent single-fingerprint requests through the micro-batcher
-	// must coalesce into fewer forward passes while answering each
-	// device exactly what it would have gotten alone.
+	// must coalesce into one forward pass while answering each device
+	// exactly what it would have gotten alone. The gate holds one pass
+	// open so the n requests meet in the queue whatever the scheduler does.
 	s := newTestServer(t, 5*time.Millisecond)
+	g := gatePasses(s.engine.wifiBatcher)
 	const n = 16
 	samples := wifiDS.Test
 	if len(samples) < n {
@@ -278,7 +280,10 @@ func TestBatchedLocalizeMatchesUnbatched(t *testing.T) {
 			}
 		}(i)
 	}
+	holder, _ := json.Marshal(LocalizeRequest{Model: "wifi-test", Fingerprints: [][]float64{samples[0].Features}})
+	release := holdPass(t, g, func() int { return postJSON(t, s.Handler(), "/v1/localize", string(holder)).Code })
 	close(start)
+	rideOnePass(t, g, s.engine.wifiBatcher, "wifi-test", n, release)
 	wg.Wait()
 	for i := 0; i < n; i++ {
 		if codes[i] != http.StatusOK {
@@ -289,14 +294,10 @@ func TestBatchedLocalizeMatchesUnbatched(t *testing.T) {
 			t.Fatalf("request %d: batched result %+v != direct %+v", i, results[i], want)
 		}
 	}
-	passes, rows := s.metrics.BatchStats("localize")
-	if rows != n {
-		t.Fatalf("batcher saw %d rows, want %d", rows, n)
+	// The held request's pass plus exactly one for the n requests.
+	if passes, rows := s.metrics.BatchStats("localize"); passes != 2 || rows != n+1 {
+		t.Fatalf("localize batcher ran %d passes over %d rows, want 2 over %d", passes, rows, n+1)
 	}
-	if passes >= n {
-		t.Fatalf("no coalescing: %d passes for %d concurrent requests", passes, n)
-	}
-	t.Logf("coalesced %d requests into %d forward passes", n, passes)
 }
 
 func TestBundleRoundTrip(t *testing.T) {

@@ -19,8 +19,8 @@ import (
 // an endpoint label, concatenated in mount from the dialect and
 // operation tables' literal fields).
 //
-// Sinks: Metrics.Observe / ObserveBatch / ObserveBatchDrop /
-// registerBatchKind (label is argument 0) and obs.Begin / AddSpan /
+// Sinks: Metrics.Observe / ObserveBatch / ObserveBatchFire /
+// ObserveBatchDrop / registerBatchKind (label is argument 0) and obs.Begin / AddSpan /
 // AddBatchSpan (stage/kind is argument 1 — the obs package makes a
 // histogram per distinct stage name on first use).
 var Metriclabels = &analysis.Analyzer{
@@ -35,6 +35,7 @@ var Metriclabels = &analysis.Analyzer{
 var metricsSinkArg = map[string]int{
 	"Observe":           0,
 	"ObserveBatch":      0,
+	"ObserveBatchFire":  0,
 	"ObserveBatchDrop":  0,
 	"registerBatchKind": 0,
 }
