@@ -5,6 +5,10 @@
 #
 #   gofmt        formatting (whole tree, fixtures included)
 #   go vet       the stock toolchain analyzers
+#   arm64        cross-compile the tree and vet the kernel packages for
+#                arm64, so the pure-Go fallbacks of the amd64 assembly
+#                paths (internal/mat: GEMM tiles, packed panels, int8
+#                tile) keep building where no CI job runs them
 #   noble-vet    the repo's own invariant suite (internal/vetrules) —
 #                must be clean on the tree AND must still refuse the
 #                three reconstructed historical bugs, so a broken
@@ -35,6 +39,10 @@ fi
 
 echo "== go vet"
 go vet ./... || fail=1
+
+echo "== arm64 cross-compile (non-amd64 kernel fallbacks)"
+GOARCH=arm64 go build ./... || fail=1
+GOARCH=arm64 go vet ./internal/mat ./internal/nn || fail=1
 
 echo "== noble-vet (internal/vetrules invariant suite)"
 mkdir -p build

@@ -97,6 +97,19 @@ func TestWiFiPredictBatchMatchesPredict(t *testing.T) {
 	if m.PredictBatch(nil) != nil {
 		t.Fatal("empty batch must return nil")
 	}
+	// The same with the packed weight copy engaged, at batch sizes either
+	// side of the packed path's threshold and of its 8-row blocks: Predict
+	// is a one-row pass and always reads the row-major weights.
+	m.PackWeights()
+	for _, n := range packedBatchSizes {
+		sub := cycleRows(rows, n)
+		batch := m.PredictBatch(sub)
+		for i, row := range sub {
+			if single := m.Predict(row); single != batch[i] {
+				t.Fatalf("packed, batch of %d, sample %d: batch %+v != single %+v", n, i, batch[i], single)
+			}
+		}
+	}
 }
 
 func TestNewWiFiModelLoadsTrainedWeights(t *testing.T) {

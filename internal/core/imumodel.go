@@ -404,6 +404,19 @@ func (m *IMUModel) PredictPaths(paths []imu.Path) []IMUPrediction {
 	return out
 }
 
+// PackWeights builds the packed copy of the three modules' dense weights
+// (see WiFiModel.PackWeights; a no-op on an int8 model).
+func (m *IMUModel) PackWeights() {
+	if m.qproj == nil {
+		m.proj.Pack()
+		m.dispNet.Pack()
+		m.locNet.Pack()
+	}
+}
+
+// PackedBytes reports the memory the packed copy holds.
+func (m *IMUModel) PackedBytes() int { return nn.PackedBytes(m.Params()) }
+
 // FLOPs estimates multiply-accumulates per single inference.
 func (m *IMUModel) FLOPs() int64 {
 	return m.proj.FLOPs() + m.dispNet.FLOPs() + m.locNet.FLOPs()
@@ -432,5 +445,5 @@ func (m *IMUModel) DisplacementScale() (mean, std [2]float64) {
 func (m *IMUModel) Save(w io.Writer) error { return nn.SaveParams(w, m.stateParams()) }
 
 // Load restores weights saved by Save into an identically configured model
-// built from the same dataset.
+// built from the same dataset, dropping any packed copy of the old ones.
 func (m *IMUModel) Load(r io.Reader) error { return nn.LoadParams(r, m.stateParams()) }

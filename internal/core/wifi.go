@@ -263,6 +263,25 @@ func (m *WiFiModel) Predict(features []float64) WiFiPrediction {
 	return m.PredictMatrix(x)[0]
 }
 
+// PackWeights builds the packed copy of every dense weight matrix, which
+// fp64 passes of mat.PackedMinRows or more rows then read instead of the
+// row-major weights — same answers, bit for bit (DESIGN.md §2), at about
+// twice the rate on the fine head. It costs one more copy of the dense
+// weights in memory and a few milliseconds, so it is the caller's
+// decision: serve packs a placed model on its first pass large enough to
+// use it. Idempotent and safe alongside concurrent Predict calls. Load
+// and training drop the copy; an int8 model never reads fp64 weights on
+// its serving path, so for it this is a no-op.
+func (m *WiFiModel) PackWeights() {
+	if m.qnet == nil {
+		m.net.Pack()
+	}
+}
+
+// PackedBytes reports the memory the packed copy holds: 0 until
+// PackWeights, and again after Load or training.
+func (m *WiFiModel) PackedBytes() int { return nn.PackedBytes(m.net.Params()) }
+
 // InputDim returns the fingerprint dimensionality (number of WAPs) the
 // model consumes.
 func (m *WiFiModel) InputDim() int { return m.numWAPs }
@@ -296,7 +315,7 @@ func (m *WiFiModel) Save(w io.Writer) error {
 }
 
 // Load restores parameters saved by Save into a model built with the same
-// configuration and dataset.
+// configuration and dataset, dropping any packed copy of the old ones.
 func (m *WiFiModel) Load(r io.Reader) error {
 	return nn.LoadParams(r, append(m.net.Params(), m.net.StatParams()...))
 }

@@ -34,8 +34,15 @@ func xgetbv0() (eax, edx uint32)
 
 // gemm8x4avx accumulates an 8-row × 4-column output tile over the full
 // inner dimension, same semantics as gemm4x8avx. The taller, narrower
-// tile halves b-matrix traffic per output row — decisive once a class
-// head outgrows L2 and the kernel would otherwise be bandwidth-bound.
+// tile halves b-matrix traffic per output row, but what it achieves
+// depends on where b's four values per k step come from. Measured at 32
+// rows on the 2.1 GHz Xeon the bench runs on
+// (docs/measurements/pr18-packed-panels.md): walking a row-major b
+// (ldb = b.Cols, one 32-byte load per 8·Cols-byte stride, so every k
+// step lands in a different 4 KB page once Cols > 512) it reaches ~26–30
+// gflop/s on a 256×256 matrix and ~14–15 on a 256×1002 class head — it
+// does not keep the head compute-bound; walking a Packed panel (ldb = 4,
+// one sequential run of 32·K bytes) it reaches ~28 on the same head.
 func gemm8x4avx(kn int, a0, a1, a2, a3, a4, a5, a6, a7 *float64,
 	b *float64, ldb int, d0, d1, d2, d3, d4, d5, d6, d7 *float64)
 

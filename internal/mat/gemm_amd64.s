@@ -114,8 +114,9 @@ store:
 // Eight-row × four-column tile: Y0..Y7 are the per-row accumulators,
 // Y8 the current four b values, Y9 the broadcast a value, Y10 the
 // product. Halves the b-matrix traffic per output row relative to the
-// 4×8 tile — the difference between bandwidth-bound and compute-bound
-// when a class head no longer fits L2. Same un-fused ascending-k
+// 4×8 tile. ldb is b's row stride in elements: b.Cols for a row-major
+// matrix, 4 for a Packed panel, where the k sweep is one sequential run
+// (measured rates for both in gemm_amd64.go). Same un-fused ascending-k
 // accumulation as everywhere else.
 TEXT ·gemm8x4avx(SB), NOSPLIT, $0-152
 	MOVQ kn+0(FP), CX

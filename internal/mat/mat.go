@@ -249,20 +249,23 @@ func MatMul(a, b *Dense) *Dense {
 // MatMulInto computes dst = a*b, overwriting dst. dst must be a.Rows×b.Cols
 // and must not alias a or b.
 //
-// Batches of four or more rows go through a register-blocked kernel that
-// shares each loaded b element across four a rows — the amortization that
-// makes one coalesced PredictBatch pass cheaper per sample than row-by-row
-// inference. Every element still accumulates its products in ascending-k
-// order as separate statements, which Go's strict floating-point
-// evaluation keeps un-reassociated, so the blocked kernel is bit-for-bit
-// identical to the row-at-a-time path.
+// Batches of two or more rows go through register-blocked kernels that
+// share each loaded b element across four or eight a rows (two to four
+// rows: the 4×8 tile; five or more: the 8×4 tile) — the amortization
+// that makes one coalesced PredictBatch pass cheaper per sample than
+// row-by-row inference. Every element still accumulates its products in
+// ascending-k order as separate statements, which Go's strict
+// floating-point evaluation keeps un-reassociated, so the blocked
+// kernels are bit-for-bit identical to the row-at-a-time path.
+//
+// b is read row-major, which costs the tiles a whole-row stride per k
+// step: at 32 rows they reach ~30 gflop/s on a 256×256 b and ~15 on a
+// 256×1002 one (docs/measurements/pr18-packed-panels.md). This layout's
+// callers are training, batches under PackedMinRows rows, and hosts
+// without AVX; inference batches on weights that do not change between
+// calls use Packed.MulInto.
 func MatMulInto(dst, a, b *Dense) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("mat: MatMul %d×%d by %d×%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: MatMulInto dst %d×%d want %d×%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
-	}
+	checkMatMul(dst, a, b)
 	dst.Zero()
 	i := 0
 	for ; i+8 <= a.Rows; i += 8 {
@@ -296,12 +299,21 @@ func MatMulInto(dst, a, b *Dense) {
 	}
 }
 
+// checkMatMul panics unless dst = a*b is well-shaped.
+func checkMatMul(dst, a, b *Dense) {
+	if a.Cols != b.Rows {
+		panic(fmt.Sprintf("mat: MatMul %d×%d by %d×%d", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	if dst.Rows != a.Rows || dst.Cols != b.Cols {
+		panic(fmt.Sprintf("mat: MatMulInto dst %d×%d want %d×%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
+	}
+}
+
 // matMulBlock8 accumulates the eight output rows idx at once (indices
 // may repeat for remainder padding). With AVX it runs 8×4
 // register-accumulator tiles — the tall tile halves b traffic per row
-// versus the 4×8 tile, which matters once the weight matrix outgrows L2;
-// without AVX it falls back to two 4-row blocks. Bit-identical to
-// matMulRow either way.
+// versus the 4×8 tile; without AVX it falls back to two 4-row blocks.
+// Bit-identical to matMulRow either way.
 func matMulBlock8(dst, a, b *Dense, idx [8]int) {
 	n := b.Cols
 	m := a.Cols

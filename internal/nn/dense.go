@@ -53,18 +53,29 @@ func NewDense(name string, in, out int, scheme InitScheme, rng *rand.Rand) *Dens
 	return d
 }
 
-// Forward computes x·W + b.
+// Forward computes x·W + b. Inference multiplies by the packed copy of W
+// when the owner has built one (Pack); a training pass drops it, since
+// the step that follows moves W.
 func (d *Dense) Forward(x *mat.Dense, train bool) *mat.Dense {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: Dense %d→%d got input with %d cols", d.In, d.Out, x.Cols))
 	}
 	if train {
 		d.x = x
+		d.Weight.packed.Store(nil)
 	}
-	out := mat.MatMul(x, d.Weight.W)
+	out := mat.New(x.Rows, d.Out)
+	if p := d.Weight.packed.Load(); p != nil {
+		p.MulInto(out, x)
+	} else {
+		mat.MatMulInto(out, x, d.Weight.W)
+	}
 	out.AddRowVec(d.Bias.W.Data)
 	return out
 }
+
+// Pack builds the packed copy of the weight matrix (see Param.Pack).
+func (d *Dense) Pack() { d.Weight.Pack() }
 
 // Backward accumulates dW = xᵀ·dout and db = Σ dout, returning dx = dout·Wᵀ.
 func (d *Dense) Backward(dout *mat.Dense) *mat.Dense {
@@ -125,6 +136,9 @@ func (b *BlockDense) Backward(dout *mat.Dense) *mat.Dense {
 	dx := b.Inner.Backward(flat)
 	return dx.Reshape(batch, b.Blocks*b.Inner.In)
 }
+
+// Pack builds the packed copy of the shared projection.
+func (b *BlockDense) Pack() { b.Inner.Pack() }
 
 // Params returns the shared dense parameters.
 func (b *BlockDense) Params() []*Param { return b.Inner.Params() }

@@ -22,6 +22,7 @@ package nn
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"noble/internal/mat"
 )
@@ -32,7 +33,32 @@ type Param struct {
 	Name string
 	W    *mat.Dense
 	G    *mat.Dense
+
+	// packed is the panel-layout copy of W that batched inference
+	// multiplies by (mat.Packed), or nil. It is a snapshot, so everything
+	// in this package that writes W drops it first or after — a training
+	// Forward, an optimizer Step, LoadParams — and inference only ever
+	// loads the pointer; only Pack, which no inference or training entry
+	// point calls, builds one.
+	packed atomic.Pointer[mat.Packed]
 }
+
+// Pack builds the packed copy of W that Dense.Forward(x, false) reads
+// for batches of mat.PackedMinRows or more rows, unless one is current.
+// It costs one more copy of W in memory (nothing on hosts without the
+// AVX tiles) and a pass over W to build, which is why it is the owner's
+// call and not inference's: serve packs a placed model on its first
+// batch large enough to use the panels. Safe to call while other
+// goroutines run inference on the same parameter; not while one trains.
+func (p *Param) Pack() {
+	if p.packed.Load() == nil {
+		p.packed.Store(mat.Pack(p.W))
+	}
+}
+
+// packer is implemented by layers and containers whose weights batched
+// inference can read packed.
+type packer interface{ Pack() }
 
 // NewParam allocates a named r×c parameter with a zeroed gradient.
 func NewParam(name string, r, c int) *Param {
@@ -73,6 +99,18 @@ func ParamCount(params []*Param) int {
 	n := 0
 	for _, p := range params {
 		n += len(p.W.Data)
+	}
+	return n
+}
+
+// PackedBytes returns the memory held by the packed copies (Param.Pack)
+// of params: 0 when none is packed.
+func PackedBytes(params []*Param) int {
+	n := 0
+	for _, p := range params {
+		if pk := p.packed.Load(); pk != nil {
+			n += pk.Bytes()
+		}
 	}
 	return n
 }

@@ -37,6 +37,15 @@ func (s *Sequential) Backward(dout *mat.Dense) *mat.Dense {
 	return dout
 }
 
+// Pack packs the weights of every layer that has a packed form.
+func (s *Sequential) Pack() {
+	for _, l := range s.Layers {
+		if p, ok := l.(packer); ok {
+			p.Pack()
+		}
+	}
+}
+
 // Params concatenates the parameters of every layer.
 func (s *Sequential) Params() []*Param {
 	var out []*Param
@@ -160,6 +169,16 @@ func (m *MultiHead) Step(x *mat.Dense, targets []*mat.Dense) float64 {
 	}
 	m.Trunk.Backward(dEmb)
 	return total
+}
+
+// Pack packs the trunk's and every head's weights.
+func (m *MultiHead) Pack() {
+	m.Trunk.Pack()
+	for _, h := range m.Heads {
+		if p, ok := h.Layer.(packer); ok {
+			p.Pack()
+		}
+	}
 }
 
 // Params concatenates trunk and head parameters.

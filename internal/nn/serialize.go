@@ -30,7 +30,8 @@ func SaveParams(w io.Writer, params []*Param) error {
 // LoadParams restores parameter values previously written by SaveParams
 // into params. The parameter list must match in order, name and shape;
 // any mismatch is an error and leaves params partially updated only after
-// full validation (validation happens before any write).
+// full validation (validation happens before any write). Packed copies
+// of the overwritten values (Param.Pack) are dropped.
 func LoadParams(r io.Reader, params []*Param) error {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -53,6 +54,7 @@ func LoadParams(r io.Reader, params []*Param) error {
 		}
 	}
 	for i, p := range params {
+		p.packed.Store(nil)
 		copy(p.W.Data, snap.Values[i])
 	}
 	return nil

@@ -176,7 +176,9 @@ func (e *Engine) resolveModel(name, kind string) (*Model, *Error) {
 // generation-qualified key (see genKey) so they coalesce into their own
 // passes on the exact staged generation — and go unanswered once it is
 // retired. Per-row pass latency is recorded on the generation, feeding
-// the p99 the promotion policy bounds.
+// the p99 the promotion policy bounds. The model's first pass of
+// mat.PackedMinRows rows or more also builds its packed weight copy
+// (Model.packFor), inside the timed span: the caller waits for it.
 func (e *Engine) predictWiFiBatch(model string, rows [][]float64) ([]core.WiFiPrediction, error) {
 	m, ok := e.reg.ResolveGen(model)
 	if !ok || m.WiFi == nil {
@@ -184,6 +186,7 @@ func (e *Engine) predictWiFiBatch(model string, rows [][]float64) ([]core.WiFiPr
 		return nil, fmt.Errorf("model %q disappeared", name)
 	}
 	t0 := time.Now()
+	m.packFor(len(rows))
 	preds := m.WiFi.PredictBatch(rows)
 	if m.Stats != nil {
 		m.Stats.RecordPass(time.Since(t0), len(rows))
@@ -201,6 +204,7 @@ func (e *Engine) predictIMUBatch(model string, paths []imu.Path) ([]core.IMUPred
 		return nil, fmt.Errorf("model %q disappeared", name)
 	}
 	t0 := time.Now()
+	m.packFor(len(paths))
 	preds := m.IMU.PredictPaths(paths)
 	if m.Stats != nil {
 		m.Stats.RecordPass(time.Since(t0), len(paths))

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"noble/internal/core"
+	"noble/internal/mat"
 	"noble/internal/obs"
 )
 
@@ -52,6 +53,30 @@ type Model struct {
 	// Stats accumulates this generation's live evaluation evidence:
 	// mirrored rows, re-anchor scores, divergence, pass latency.
 	Stats *GenStats
+
+	// packed guards the one-off packing of the model's weights (packFor).
+	packed sync.Once
+}
+
+// packFor is called with the row count of every pass about to run on the
+// model. The first pass of mat.PackedMinRows rows or more builds the
+// packed copy of the dense weights that such passes read from then on
+// (core.WiFiModel.PackWeights); concurrent first passes wait for the one
+// build. Deferring it to here, rather than packing when the model is
+// placed, keeps a deployment that never batches — lone fixes, tracking
+// sessions — at one copy of its weights and out of the ~3 ms build.
+func (m *Model) packFor(rows int) {
+	if rows < mat.PackedMinRows {
+		return
+	}
+	m.packed.Do(func() {
+		switch {
+		case m.WiFi != nil:
+			m.WiFi.PackWeights()
+		case m.IMU != nil:
+			m.IMU.PackWeights()
+		}
+	})
 }
 
 // ModelInfo is the JSON-facing summary of a registered model.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -16,6 +17,7 @@ import (
 	"noble/internal/core"
 	"noble/internal/dataset"
 	"noble/internal/imu"
+	"noble/internal/mat"
 )
 
 // Tiny fixtures, trained once per test binary.
@@ -252,13 +254,20 @@ func TestBatchedLocalizeMatchesUnbatched(t *testing.T) {
 	// must coalesce into one forward pass while answering each device
 	// exactly what it would have gotten alone. The gate holds one pass
 	// open so the n requests meet in the queue whatever the scheduler does.
+	// The sizes straddle the packed weight layout's threshold (passes of
+	// mat.PackedMinRows rows read it, and the first such pass builds it)
+	// and its 8-row blocks; the lone Predict each answer is compared with
+	// always reads the row-major weights.
+	for _, n := range []int{4, 5, 8, 9, 16, 31, 32, 33} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) { batchedLocalizeMatchesUnbatched(t, n) })
+	}
+}
+
+func batchedLocalizeMatchesUnbatched(t *testing.T, n int) {
 	s := newTestServer(t, 5*time.Millisecond)
 	g := gatePasses(s.engine.wifiBatcher)
-	const n = 16
 	samples := wifiDS.Test
-	if len(samples) < n {
-		t.Fatalf("fixture too small: %d test samples", len(samples))
-	}
+	sample := func(i int) []float64 { return samples[i%len(samples)].Features }
 	var wg sync.WaitGroup
 	results := make([]Position, n)
 	codes := make([]int, n)
@@ -269,7 +278,7 @@ func TestBatchedLocalizeMatchesUnbatched(t *testing.T) {
 			defer wg.Done()
 			raw, _ := json.Marshal(LocalizeRequest{
 				Model:        "wifi-test",
-				Fingerprints: [][]float64{samples[i].Features},
+				Fingerprints: [][]float64{sample(i)},
 			})
 			<-start
 			w := postJSON(t, s.Handler(), "/v1/localize", string(raw))
@@ -280,7 +289,7 @@ func TestBatchedLocalizeMatchesUnbatched(t *testing.T) {
 			}
 		}(i)
 	}
-	holder, _ := json.Marshal(LocalizeRequest{Model: "wifi-test", Fingerprints: [][]float64{samples[0].Features}})
+	holder, _ := json.Marshal(LocalizeRequest{Model: "wifi-test", Fingerprints: [][]float64{sample(0)}})
 	release := holdPass(t, g, func() int { return postJSON(t, s.Handler(), "/v1/localize", string(holder)).Code })
 	close(start)
 	rideOnePass(t, g, s.engine.wifiBatcher, "wifi-test", n, release)
@@ -289,14 +298,80 @@ func TestBatchedLocalizeMatchesUnbatched(t *testing.T) {
 		if codes[i] != http.StatusOK {
 			t.Fatalf("request %d: status %d", i, codes[i])
 		}
-		want := wifiModel.Predict(samples[i].Features)
+		want := wifiModel.Predict(sample(i))
 		if results[i].Class != want.Class || results[i].X != want.Pos.X || results[i].Y != want.Pos.Y {
 			t.Fatalf("request %d: batched result %+v != direct %+v", i, results[i], want)
 		}
 	}
 	// The held request's pass plus exactly one for the n requests.
-	if passes, rows := s.metrics.BatchStats("localize"); passes != 2 || rows != n+1 {
+	if passes, rows := s.metrics.BatchStats("localize"); passes != 2 || rows != int64(n)+1 {
 		t.Fatalf("localize batcher ran %d passes over %d rows, want 2 over %d", passes, rows, n+1)
+	}
+}
+
+// A placed model is packed by the first pass large enough to read the
+// panels, not before: lone fixes and small passes leave it at one copy of
+// its weights. Callers racing through that first pass (batching off, so
+// each runs its own; run under -race) wait for one build and all get the
+// lone-Predict answer.
+func TestFirstLargePassPacksThePlacedModelOnce(t *testing.T) {
+	fixtures(t)
+	wifi, reference := core.NewWiFiModel(wifiDS, wifiCfg), core.NewWiFiModel(wifiDS, wifiCfg)
+	reg := NewRegistry("", t.Logf)
+	reg.Add(&Model{Name: "fresh", Kind: KindWiFi, WiFi: wifi})
+	eng := NewEngine(Config{Registry: reg, BatchWindow: 0, MaxBatch: 64})
+	fps := func(n int) [][]float64 {
+		out := make([][]float64, n)
+		for i := range out {
+			out[i] = wifiDS.Test[i%len(wifiDS.Test)].Features
+		}
+		return out
+	}
+	localize := func(n int) []core.WiFiPrediction {
+		preds, err := eng.Localize(context.Background(), LocalizeQuery{Model: "fresh", Fingerprints: fps(n)})
+		if err != nil {
+			t.Error(err)
+		}
+		return preds
+	}
+	for _, n := range []int{1, mat.PackedMinRows - 1} {
+		localize(n)
+		if wifi.PackedBytes() != 0 {
+			t.Fatalf("a %d-row pass packed the model", n)
+		}
+	}
+
+	const callers, rows = 8, 9
+	got := make([][]core.WiFiPrediction, callers)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			got[g] = localize(rows)
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for g := range got {
+		for i, fp := range fps(rows) {
+			if want := reference.Predict(fp); got[g][i] != want {
+				t.Fatalf("caller %d row %d: %+v, lone Predict on a never-packed twin gives %+v", g, i, got[g][i], want)
+			}
+		}
+	}
+	packed := wifi.PackedBytes()
+	if packed == 0 {
+		t.Skip("no packed layout on this host (no AVX tiles)")
+	}
+	if reference.PackedBytes() != 0 {
+		t.Fatal("the twin no engine serves was packed")
+	}
+	localize(rows)
+	if wifi.PackedBytes() != packed {
+		t.Fatalf("packed bytes %d -> %d after a later pass", packed, wifi.PackedBytes())
 	}
 }
 
