@@ -7,8 +7,9 @@
 #   go vet       the stock toolchain analyzers
 #   arm64        cross-compile the tree and vet the kernel packages for
 #                arm64, so the pure-Go fallbacks of the amd64 assembly
-#                paths (internal/mat: GEMM tiles, packed panels, int8
-#                tile) keep building where no CI job runs them
+#                paths (internal/mat: GEMM tiles, row sweep, packed
+#                panels, int8 tile) keep building where no CI job runs
+#                them
 #   noble-vet    the repo's own invariant suite (internal/vetrules) —
 #                must be clean on the tree AND must still refuse the
 #                three reconstructed historical bugs, so a broken

@@ -97,9 +97,10 @@ func TestWiFiPredictBatchMatchesPredict(t *testing.T) {
 	if m.PredictBatch(nil) != nil {
 		t.Fatal("empty batch must return nil")
 	}
-	// The same with the packed weight copy engaged, at batch sizes either
-	// side of the packed path's threshold and of its 8-row blocks: Predict
-	// is a one-row pass and always reads the row-major weights.
+	// The same with the packed weight copy engaged, at every batch size
+	// the row sweep serves (1–4) and either side of the packed path's
+	// threshold and of its 8-row blocks: Predict is a one-row pass and
+	// always reads the row-major weights.
 	m.PackWeights()
 	for _, n := range packedBatchSizes {
 		sub := cycleRows(rows, n)

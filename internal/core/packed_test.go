@@ -11,9 +11,10 @@ import (
 	"noble/internal/nn/qlinear"
 )
 
-// packedBatchSizes straddle mat.PackedMinRows and the 8-row blocks of the
+// packedBatchSizes cover every pass the row-sweep kernels serve (1–4
+// rows), then straddle mat.PackedMinRows and the 8-row blocks of the
 // packed kernel.
-var packedBatchSizes = []int{4, 5, 8, 9, 31, 32, 33}
+var packedBatchSizes = []int{1, 2, 3, 4, 5, 8, 9, 31, 32, 33}
 
 // cycleRows returns n rows drawn round-robin from rows.
 func cycleRows[T any](rows []T, n int) []T {

@@ -1,5 +1,13 @@
 //go:build amd64
 
+// The fp64 kernels behind MatMulInto and Packed.MulInto, AVX1 only and
+// un-fused (see useAVXGemm). gemm8x4avx is a register tile: it keeps an
+// 8×4 block of the output in YMM registers while it walks down b one
+// row per k step (every pass of five rows or more). The row sweep —
+// rowSweep4avx, rowSweep4x2avx, rowSweep1avx — keeps four k in registers
+// while it walks along b's rows (passes of one to four rows). Go
+// declarations and measured rates: gemm_amd64.go, matMulRows.
+
 #include "textflag.h"
 
 // func cpuidex(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -21,100 +29,13 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func gemm4x8avx(kn int, a0, a1, a2, a3 *float64, b *float64, ldb int,
-//                 d0, d1, d2, d3 *float64)
-//
-// Register layout: Y0..Y7 hold the 4×8 accumulator tile (two YMM per
-// row), Y8/Y9 the current eight b values, Y10 the broadcast a value,
-// Y11 the product. Multiplies and adds stay separate (VMULPD + VADDPD,
-// no FMA) so every element accumulates with exactly the same rounding
-// as the pure-Go kernels.
-TEXT ·gemm4x8avx(SB), NOSPLIT, $0-88
-	MOVQ kn+0(FP), CX
-	MOVQ a0+8(FP), R8
-	MOVQ a1+16(FP), R9
-	MOVQ a2+24(FP), R10
-	MOVQ a3+32(FP), R11
-	MOVQ b+40(FP), BX
-	MOVQ ldb+48(FP), DX
-	SHLQ $3, DX            // b row stride in bytes
-
-	// Load the current accumulator tile.
-	MOVQ d0+56(FP), AX
-	VMOVUPD (AX), Y0
-	VMOVUPD 32(AX), Y1
-	MOVQ d1+64(FP), AX
-	VMOVUPD (AX), Y2
-	VMOVUPD 32(AX), Y3
-	MOVQ d2+72(FP), AX
-	VMOVUPD (AX), Y4
-	VMOVUPD 32(AX), Y5
-	MOVQ d3+80(FP), AX
-	VMOVUPD (AX), Y6
-	VMOVUPD 32(AX), Y7
-
-	TESTQ CX, CX
-	JZ    store
-
-kloop:
-	VMOVUPD (BX), Y8
-	VMOVUPD 32(BX), Y9
-
-	VBROADCASTSD (R8), Y10
-	VMULPD Y8, Y10, Y11
-	VADDPD Y11, Y0, Y0
-	VMULPD Y9, Y10, Y11
-	VADDPD Y11, Y1, Y1
-
-	VBROADCASTSD (R9), Y10
-	VMULPD Y8, Y10, Y11
-	VADDPD Y11, Y2, Y2
-	VMULPD Y9, Y10, Y11
-	VADDPD Y11, Y3, Y3
-
-	VBROADCASTSD (R10), Y10
-	VMULPD Y8, Y10, Y11
-	VADDPD Y11, Y4, Y4
-	VMULPD Y9, Y10, Y11
-	VADDPD Y11, Y5, Y5
-
-	VBROADCASTSD (R11), Y10
-	VMULPD Y8, Y10, Y11
-	VADDPD Y11, Y6, Y6
-	VMULPD Y9, Y10, Y11
-	VADDPD Y11, Y7, Y7
-
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	ADDQ DX, BX
-	DECQ CX
-	JNZ  kloop
-
-store:
-	MOVQ d0+56(FP), AX
-	VMOVUPD Y0, (AX)
-	VMOVUPD Y1, 32(AX)
-	MOVQ d1+64(FP), AX
-	VMOVUPD Y2, (AX)
-	VMOVUPD Y3, 32(AX)
-	MOVQ d2+72(FP), AX
-	VMOVUPD Y4, (AX)
-	VMOVUPD Y5, 32(AX)
-	MOVQ d3+80(FP), AX
-	VMOVUPD Y6, (AX)
-	VMOVUPD Y7, 32(AX)
-	VZEROUPPER
-	RET
-
 // func gemm8x4avx(kn int, a0, a1, a2, a3, a4, a5, a6, a7 *float64,
 //                 b *float64, ldb int, d0, d1, d2, d3, d4, d5, d6, d7 *float64)
 //
 // Eight-row × four-column tile: Y0..Y7 are the per-row accumulators,
 // Y8 the current four b values, Y9 the broadcast a value, Y10 the
-// product. Halves the b-matrix traffic per output row relative to the
-// 4×8 tile. ldb is b's row stride in elements: b.Cols for a row-major
+// product; each loaded b vector feeds eight rows. ldb is b's row stride
+// in elements: b.Cols for a row-major
 // matrix, 4 for a Packed panel, where the k sweep is one sequential run
 // (measured rates for both in gemm_amd64.go). Same un-fused ascending-k
 // accumulation as everywhere else.
@@ -203,5 +124,302 @@ store8:
 	VMOVUPD Y6, (AX)
 	MOVQ d7+144(FP), AX
 	VMOVUPD Y7, (AX)
+	VZEROUPPER
+	RET
+
+// func rowSweep4avx(n int, d, b0, b1, b2, b3, a *float64)
+//
+// The row sweep: one output row, four k per call, left to right over
+// four sequential b rows —
+//
+//	d[j] = (((d[j] + a[0]·b0[j]) + a[1]·b1[j]) + a[2]·b2[j]) + a[3]·b3[j]
+//
+// for j in [0, n). Where the tiles hold a few columns in registers and
+// stride down b one row per k step, the sweep holds four k in registers
+// (Y12..Y15, broadcast) and streams every operand sequentially, so a
+// wide b costs it nothing; d is re-read and re-written once per four k,
+// from L1. The main loop covers sixteen columns (Y0..Y3, four
+// independent add chains), then four at a time, then the last n%4
+// columns with the scalar forms. Un-fused VMULPD/VADDPD in ascending k:
+// per element exactly matMulRow's rounding. The b rows need not be
+// adjacent — the lone-row caller passes the rows of its non-zero inputs.
+TEXT ·rowSweep4avx(SB), NOSPLIT, $0-56
+	MOVQ n+0(FP), CX
+	MOVQ d+8(FP), DI
+	MOVQ b0+16(FP), R8
+	MOVQ b1+24(FP), R9
+	MOVQ b2+32(FP), R10
+	MOVQ b3+40(FP), R11
+	MOVQ a+48(FP), AX
+	VBROADCASTSD (AX), Y12
+	VBROADCASTSD 8(AX), Y13
+	VBROADCASTSD 16(AX), Y14
+	VBROADCASTSD 24(AX), Y15
+	XORQ SI, SI            // column index
+
+	MOVQ CX, DX
+	ANDQ $~15, DX          // end of the sixteen-column steps
+	CMPQ SI, DX
+	JGE  sweep4cols4
+
+sweep4cols16:
+	VMOVUPD (DI)(SI*8), Y0
+	VMOVUPD 32(DI)(SI*8), Y1
+	VMOVUPD 64(DI)(SI*8), Y2
+	VMOVUPD 96(DI)(SI*8), Y3
+
+	VMULPD (R8)(SI*8), Y12, Y4
+	VMULPD 32(R8)(SI*8), Y12, Y5
+	VMULPD 64(R8)(SI*8), Y12, Y6
+	VMULPD 96(R8)(SI*8), Y12, Y7
+	VADDPD Y4, Y0, Y0
+	VADDPD Y5, Y1, Y1
+	VADDPD Y6, Y2, Y2
+	VADDPD Y7, Y3, Y3
+
+	VMULPD (R9)(SI*8), Y13, Y4
+	VMULPD 32(R9)(SI*8), Y13, Y5
+	VMULPD 64(R9)(SI*8), Y13, Y6
+	VMULPD 96(R9)(SI*8), Y13, Y7
+	VADDPD Y4, Y0, Y0
+	VADDPD Y5, Y1, Y1
+	VADDPD Y6, Y2, Y2
+	VADDPD Y7, Y3, Y3
+
+	VMULPD (R10)(SI*8), Y14, Y4
+	VMULPD 32(R10)(SI*8), Y14, Y5
+	VMULPD 64(R10)(SI*8), Y14, Y6
+	VMULPD 96(R10)(SI*8), Y14, Y7
+	VADDPD Y4, Y0, Y0
+	VADDPD Y5, Y1, Y1
+	VADDPD Y6, Y2, Y2
+	VADDPD Y7, Y3, Y3
+
+	VMULPD (R11)(SI*8), Y15, Y4
+	VMULPD 32(R11)(SI*8), Y15, Y5
+	VMULPD 64(R11)(SI*8), Y15, Y6
+	VMULPD 96(R11)(SI*8), Y15, Y7
+	VADDPD Y4, Y0, Y0
+	VADDPD Y5, Y1, Y1
+	VADDPD Y6, Y2, Y2
+	VADDPD Y7, Y3, Y3
+
+	VMOVUPD Y0, (DI)(SI*8)
+	VMOVUPD Y1, 32(DI)(SI*8)
+	VMOVUPD Y2, 64(DI)(SI*8)
+	VMOVUPD Y3, 96(DI)(SI*8)
+	ADDQ $16, SI
+	CMPQ SI, DX
+	JLT  sweep4cols16
+
+sweep4cols4:
+	MOVQ CX, DX
+	ANDQ $~3, DX           // end of the four-column steps
+	CMPQ SI, DX
+	JGE  sweep4cols1
+
+sweep4cols4loop:
+	VMOVUPD (DI)(SI*8), Y0
+	VMULPD (R8)(SI*8), Y12, Y4
+	VADDPD Y4, Y0, Y0
+	VMULPD (R9)(SI*8), Y13, Y4
+	VADDPD Y4, Y0, Y0
+	VMULPD (R10)(SI*8), Y14, Y4
+	VADDPD Y4, Y0, Y0
+	VMULPD (R11)(SI*8), Y15, Y4
+	VADDPD Y4, Y0, Y0
+	VMOVUPD Y0, (DI)(SI*8)
+	ADDQ $4, SI
+	CMPQ SI, DX
+	JLT  sweep4cols4loop
+
+sweep4cols1:
+	CMPQ SI, CX
+	JGE  sweep4done
+
+sweep4cols1loop:
+	VMOVSD (DI)(SI*8), X0
+	VMULSD (R8)(SI*8), X12, X4
+	VADDSD X4, X0, X0
+	VMULSD (R9)(SI*8), X13, X4
+	VADDSD X4, X0, X0
+	VMULSD (R10)(SI*8), X14, X4
+	VADDSD X4, X0, X0
+	VMULSD (R11)(SI*8), X15, X4
+	VADDSD X4, X0, X0
+	VMOVSD X0, (DI)(SI*8)
+	INCQ SI
+	CMPQ SI, CX
+	JLT  sweep4cols1loop
+
+sweep4done:
+	VZEROUPPER
+	RET
+
+// func rowSweep4x2avx(n int, d0, d1, b0, b1, b2, b3, a0, a1 *float64)
+//
+// rowSweep4avx for two output rows at once: each loaded b vector feeds
+// both rows, which halves the b traffic of a 2–4-row pass. Y8..Y11 hold
+// row 0's four a values, Y12..Y15 row 1's; eight columns per step (Y0,
+// Y1 row 0; Y2, Y3 row 1), then the last n%8 one at a time.
+TEXT ·rowSweep4x2avx(SB), NOSPLIT, $0-72
+	MOVQ n+0(FP), CX
+	MOVQ d0+8(FP), DI
+	MOVQ d1+16(FP), BX
+	MOVQ b0+24(FP), R8
+	MOVQ b1+32(FP), R9
+	MOVQ b2+40(FP), R10
+	MOVQ b3+48(FP), R11
+	MOVQ a0+56(FP), AX
+	VBROADCASTSD (AX), Y8
+	VBROADCASTSD 8(AX), Y9
+	VBROADCASTSD 16(AX), Y10
+	VBROADCASTSD 24(AX), Y11
+	MOVQ a1+64(FP), AX
+	VBROADCASTSD (AX), Y12
+	VBROADCASTSD 8(AX), Y13
+	VBROADCASTSD 16(AX), Y14
+	VBROADCASTSD 24(AX), Y15
+	XORQ SI, SI            // column index
+
+	MOVQ CX, DX
+	ANDQ $~7, DX           // end of the eight-column steps
+	CMPQ SI, DX
+	JGE  sweep4x2cols1
+
+sweep4x2cols8:
+	VMOVUPD (DI)(SI*8), Y0
+	VMOVUPD 32(DI)(SI*8), Y1
+	VMOVUPD (BX)(SI*8), Y2
+	VMOVUPD 32(BX)(SI*8), Y3
+
+	VMOVUPD (R8)(SI*8), Y4
+	VMOVUPD 32(R8)(SI*8), Y5
+	VMULPD Y4, Y8, Y6
+	VMULPD Y5, Y8, Y7
+	VADDPD Y6, Y0, Y0
+	VADDPD Y7, Y1, Y1
+	VMULPD Y4, Y12, Y6
+	VMULPD Y5, Y12, Y7
+	VADDPD Y6, Y2, Y2
+	VADDPD Y7, Y3, Y3
+
+	VMOVUPD (R9)(SI*8), Y4
+	VMOVUPD 32(R9)(SI*8), Y5
+	VMULPD Y4, Y9, Y6
+	VMULPD Y5, Y9, Y7
+	VADDPD Y6, Y0, Y0
+	VADDPD Y7, Y1, Y1
+	VMULPD Y4, Y13, Y6
+	VMULPD Y5, Y13, Y7
+	VADDPD Y6, Y2, Y2
+	VADDPD Y7, Y3, Y3
+
+	VMOVUPD (R10)(SI*8), Y4
+	VMOVUPD 32(R10)(SI*8), Y5
+	VMULPD Y4, Y10, Y6
+	VMULPD Y5, Y10, Y7
+	VADDPD Y6, Y0, Y0
+	VADDPD Y7, Y1, Y1
+	VMULPD Y4, Y14, Y6
+	VMULPD Y5, Y14, Y7
+	VADDPD Y6, Y2, Y2
+	VADDPD Y7, Y3, Y3
+
+	VMOVUPD (R11)(SI*8), Y4
+	VMOVUPD 32(R11)(SI*8), Y5
+	VMULPD Y4, Y11, Y6
+	VMULPD Y5, Y11, Y7
+	VADDPD Y6, Y0, Y0
+	VADDPD Y7, Y1, Y1
+	VMULPD Y4, Y15, Y6
+	VMULPD Y5, Y15, Y7
+	VADDPD Y6, Y2, Y2
+	VADDPD Y7, Y3, Y3
+
+	VMOVUPD Y0, (DI)(SI*8)
+	VMOVUPD Y1, 32(DI)(SI*8)
+	VMOVUPD Y2, (BX)(SI*8)
+	VMOVUPD Y3, 32(BX)(SI*8)
+	ADDQ $8, SI
+	CMPQ SI, DX
+	JLT  sweep4x2cols8
+
+sweep4x2cols1:
+	CMPQ SI, CX
+	JGE  sweep4x2done
+
+sweep4x2cols1loop:
+	VMOVSD (DI)(SI*8), X0
+	VMOVSD (BX)(SI*8), X2
+	VMOVSD (R8)(SI*8), X4
+	VMULSD X4, X8, X6
+	VADDSD X6, X0, X0
+	VMULSD X4, X12, X6
+	VADDSD X6, X2, X2
+	VMOVSD (R9)(SI*8), X4
+	VMULSD X4, X9, X6
+	VADDSD X6, X0, X0
+	VMULSD X4, X13, X6
+	VADDSD X6, X2, X2
+	VMOVSD (R10)(SI*8), X4
+	VMULSD X4, X10, X6
+	VADDSD X6, X0, X0
+	VMULSD X4, X14, X6
+	VADDSD X6, X2, X2
+	VMOVSD (R11)(SI*8), X4
+	VMULSD X4, X11, X6
+	VADDSD X6, X0, X0
+	VMULSD X4, X15, X6
+	VADDSD X6, X2, X2
+	VMOVSD X0, (DI)(SI*8)
+	VMOVSD X2, (BX)(SI*8)
+	INCQ SI
+	CMPQ SI, CX
+	JLT  sweep4x2cols1loop
+
+sweep4x2done:
+	VZEROUPPER
+	RET
+
+// func rowSweep1avx(n int, d, b *float64, a float64)
+//
+// The one-k sweep, d[j] += a·b[j] for j in [0, n): the one to three
+// inputs a row has left after its groups of four. They get their own
+// sweeps rather than a padded group, so no product is formed with a b
+// row the scalar loop would not have read.
+TEXT ·rowSweep1avx(SB), NOSPLIT, $0-32
+	MOVQ n+0(FP), CX
+	MOVQ d+8(FP), DI
+	MOVQ b+16(FP), R8
+	VBROADCASTSD a+24(FP), Y12
+	XORQ SI, SI            // column index
+
+	MOVQ CX, DX
+	ANDQ $~3, DX           // end of the four-column steps
+	CMPQ SI, DX
+	JGE  sweep1cols1
+
+sweep1cols4:
+	VMULPD (R8)(SI*8), Y12, Y4
+	VADDPD (DI)(SI*8), Y4, Y0
+	VMOVUPD Y0, (DI)(SI*8)
+	ADDQ $4, SI
+	CMPQ SI, DX
+	JLT  sweep1cols4
+
+sweep1cols1:
+	CMPQ SI, CX
+	JGE  sweep1done
+
+sweep1cols1loop:
+	VMULSD (R8)(SI*8), X12, X4
+	VADDSD (DI)(SI*8), X4, X0
+	VMOVSD X0, (DI)(SI*8)
+	INCQ SI
+	CMPQ SI, CX
+	JLT  sweep1cols1loop
+
+sweep1done:
 	VZEROUPPER
 	RET

@@ -249,18 +249,22 @@ func MatMul(a, b *Dense) *Dense {
 // MatMulInto computes dst = a*b, overwriting dst. dst must be a.Rows×b.Cols
 // and must not alias a or b.
 //
-// Batches of two or more rows go through register-blocked kernels that
-// share each loaded b element across four or eight a rows (two to four
-// rows: the 4×8 tile; five or more: the 8×4 tile) — the amortization
-// that makes one coalesced PredictBatch pass cheaper per sample than
-// row-by-row inference. Every element still accumulates its products in
-// ascending-k order as separate statements, which Go's strict
-// floating-point evaluation keeps un-reassociated, so the blocked
-// kernels are bit-for-bit identical to the row-at-a-time path.
+// Rows go eight at a time through the 8×4 register tile, which shares
+// each loaded b element across eight a rows — the amortization that
+// makes one coalesced PredictBatch pass cheaper per sample than
+// row-by-row inference; five to seven left-over rows take the same tile
+// with the last row repeated into the spare lanes (duplicate lanes
+// compute, and finally store, identical values). One to four left-over
+// rows — the lone-device fix and the small passes an open-loop fleet
+// forms — take matMulRows: the row sweep. Every element, whichever
+// kernel produces it, accumulates its products in ascending-k order as
+// separate un-fused multiplies and adds, so all of them agree with the
+// plain triple loop bit for bit.
 //
-// b is read row-major, which costs the tiles a whole-row stride per k
-// step: at 32 rows they reach ~30 gflop/s on a 256×256 b and ~15 on a
-// 256×1002 one (docs/measurements/pr18-packed-panels.md). This layout's
+// b is read row-major, which costs the tile a whole-row stride per k
+// step: at 32 rows it reaches ~30 gflop/s on a 256×256 b and ~15 on a
+// 256×1002 one (docs/measurements/pr18-packed-panels.md); the sweep
+// reads the same layout sequentially and does not care. This layout's
 // callers are training, batches under PackedMinRows rows, and hosts
 // without AVX; inference batches on weights that do not change between
 // calls use Packed.MulInto.
@@ -271,31 +275,50 @@ func MatMulInto(dst, a, b *Dense) {
 	for ; i+8 <= a.Rows; i += 8 {
 		matMulBlock8(dst, a, b, [8]int{i, i + 1, i + 2, i + 3, i + 4, i + 5, i + 6, i + 7})
 	}
-	// Remaining rows still go through a block kernel with the last row
-	// duplicated into the spare lanes: duplicate lanes compute — and
-	// finally store — identical values, so the result is unchanged while
-	// the rows keep the AVX speed. A single remaining row is the
-	// latency-sensitive unbatched case and keeps the scalar kernel with
-	// its sparse-input skip.
 	switch rem := a.Rows - i; {
 	case rem >= 5:
 		idx := [8]int{}
 		for l := range idx {
-			r := i + l
-			if r >= a.Rows {
-				r = a.Rows - 1
-			}
-			idx[l] = r
+			idx[l] = min(i+l, a.Rows-1)
 		}
 		matMulBlock8(dst, a, b, idx)
-	case rem == 4:
-		matMulBlock4(dst, a, b, i, i+1, i+2, i+3)
-	case rem == 3:
-		matMulBlock4(dst, a, b, i, i+1, i+2, i+2)
-	case rem == 2:
-		matMulBlock4(dst, a, b, i, i+1, i+1, i+1)
-	case rem == 1:
+	case rem >= 1:
+		matMulRows(dst, a, b, i, rem)
+	}
+}
+
+// matMulRows accumulates the one to four output rows [i, i+rows): on
+// the row sweep where there is AVX, else on the pure-Go kernels (the
+// scalar row; the four-row block with its last row repeated).
+//
+// The sweep has this range to itself because nothing else measured
+// ahead of it where it counts (BenchmarkGemmB{1,2,3,4}, hot and with
+// the weights streamed from L3 as a forward pass meets them, and core's
+// BenchmarkWiFiPredictRows{1,2,3,4}; medians on the 2.1 GHz Xeon, every
+// number in docs/measurements/pr19-row-sweep.md). It reads b's rows
+// sequentially, so it does not pay the tiles' whole-row stride per k
+// step. On the 256×1002 class head a lone dense row takes 42 µs hot
+// and 74 streamed (12 and 7 gflop/s) against the scalar loop's 132 and
+// 136; four rows take 99 and 128 µs against 267 and 340 for the 8×4
+// tile padded with copies of the last row, which is what five to seven
+// rows run. A 4×8 tile padded the same way is not kept either: at two
+// rows it took 136 µs to the sweep's 55, and at four full rows — its
+// best case — it was a tenth ahead of the sweep in a hot loop over one
+// 160×128 matrix (5.8 against 6.4 µs) and level on 256×256, but behind
+// on every shape once the weights stream (29.7 against 17.6 µs on
+// 160×256; 184 against 128 on the head) and behind in the model, where
+// a four-row PredictBatch takes 234 µs on the sweep and took 315.
+func matMulRows(dst, a, b *Dense, i, rows int) {
+	switch {
+	case useAVXGemm && rows == 1:
+		matMulRowSweep(dst, a, b, i)
+	case useAVXGemm:
+		matMulRowsSweep(dst, a, b, i, rows)
+	case rows == 1:
 		matMulRow(dst, a, b, i)
+	default:
+		last := i + rows - 1
+		matMulBlock4Cols(dst, a, b, i, i+1, min(i+2, last), last, 0)
 	}
 }
 
@@ -311,9 +334,9 @@ func checkMatMul(dst, a, b *Dense) {
 
 // matMulBlock8 accumulates the eight output rows idx at once (indices
 // may repeat for remainder padding). With AVX it runs 8×4
-// register-accumulator tiles — the tall tile halves b traffic per row
-// versus the 4×8 tile; without AVX it falls back to two 4-row blocks.
-// Bit-identical to matMulRow either way.
+// register-accumulator tiles — each loaded b vector feeds eight rows;
+// without AVX it falls back to two 4-row blocks.
+// Bit-identical to the plain triple loop either way.
 func matMulBlock8(dst, a, b *Dense, idx [8]int) {
 	n := b.Cols
 	m := a.Cols
@@ -339,9 +362,10 @@ func matMulBlock8(dst, a, b *Dense, idx [8]int) {
 }
 
 // matMulRow accumulates one output row: dst[i] += a[i] * b. Zero inputs
-// are skipped — a pure optimization for sparse fingerprints, since adding
-// 0*b[k] is an exact no-op for the finite values that flow through the
-// networks here.
+// are skipped — a pure optimization for sparse fingerprints: adding
+// 0*b[k] is an exact no-op while b is finite, which nn.LoadParams
+// enforces for every weight a bundle can carry. This is the lone row
+// without AVX; matMulRowSweep is the same loop on the vector kernel.
 func matMulRow(dst, a, b *Dense, i int) {
 	n := b.Cols
 	arow := a.Row(i)
@@ -357,38 +381,73 @@ func matMulRow(dst, a, b *Dense, i int) {
 	}
 }
 
-// matMulBlock4 accumulates the four output rows r0..r3 at once so each
-// loaded b element feeds multiply-accumulates for all four rows instead
-// of one — the amortization that makes a coalesced batch pass cheaper
-// per sample than row-by-row inference. Row indices may repeat (the
-// remainder-padding trick in MatMulInto); duplicate lanes then compute
-// and store identical values. On hardware with AVX it dispatches 4×8
-// register-accumulator tiles to the assembly kernel (see gemm_amd64.s);
-// the pure-Go fallback unrolls k by four. Both produce bit-identical
-// results to matMulRow: every output element accumulates un-fused
-// products in ascending-k order.
-func matMulBlock4(dst, a, b *Dense, r0, r1, r2, r3 int) {
+// matMulRowSweep is matMulRow on the sweep kernel: the row's non-zero
+// inputs are compacted four at a time, in ascending k, and each group
+// is one left-to-right pass over its four b rows. The one to three
+// inputs left at the end get a single-input sweep each — never a group
+// padded with a live b row, whose 0*b product the scalar loop would not
+// have formed.
+func matMulRowSweep(dst, a, b *Dense, i int) {
 	n := b.Cols
-	m := a.Cols
-	j := 0
-	if useAVXGemm && m > 0 {
-		a0, a1, a2, a3 := a.Row(r0), a.Row(r1), a.Row(r2), a.Row(r3)
-		d0, d1, d2, d3 := dst.Row(r0), dst.Row(r1), dst.Row(r2), dst.Row(r3)
-		for ; j+8 <= n; j += 8 {
-			gemm4x8avx(m, &a0[0], &a1[0], &a2[0], &a3[0], &b.Data[j], n,
-				&d0[j], &d1[j], &d2[j], &d3[j])
-		}
-	}
-	if j == n {
+	if n == 0 {
 		return
 	}
-	matMulBlock4Cols(dst, a, b, r0, r1, r2, r3, j)
+	d := &dst.Data[i*n]
+	var (
+		av  [4]float64 // the group's inputs
+		off [4]int     // and where their b rows start
+		g   int
+	)
+	for k, v := range a.Row(i) {
+		if v == 0 {
+			continue
+		}
+		av[g], off[g] = v, k*n
+		if g++; g == 4 {
+			rowSweep4avx(n, d, &b.Data[off[0]], &b.Data[off[1]], &b.Data[off[2]], &b.Data[off[3]], &av[0])
+			g = 0
+		}
+	}
+	for l := 0; l < g; l++ {
+		rowSweep1avx(n, d, &b.Data[off[l]], av[l])
+	}
+}
+
+// matMulRowsSweep accumulates the two to four output rows [i, i+rows)
+// on the sweep kernel, k groups outer and rows inner, so four b rows
+// are fetched once and swept by every output row while they sit in L1;
+// rows go in pairs that share each loaded b vector, an odd one alone.
+// No zero skip: the rows' zeros do not line up.
+func matMulRowsSweep(dst, a, b *Dense, i, rows int) {
+	n, m := b.Cols, a.Cols
+	if n == 0 {
+		return
+	}
+	end := i + rows
+	k := 0
+	for ; k+4 <= m; k += 4 {
+		b0, b1, b2, b3 := &b.Data[k*n], &b.Data[(k+1)*n], &b.Data[(k+2)*n], &b.Data[(k+3)*n]
+		r := i
+		for ; r+2 <= end; r += 2 {
+			rowSweep4x2avx(n, &dst.Data[r*n], &dst.Data[(r+1)*n], b0, b1, b2, b3, &a.Data[r*m+k], &a.Data[(r+1)*m+k])
+		}
+		if r < end {
+			rowSweep4avx(n, &dst.Data[r*n], b0, b1, b2, b3, &a.Data[r*m+k])
+		}
+	}
+	for ; k < m; k++ {
+		for r := i; r < end; r++ {
+			rowSweep1avx(n, &dst.Data[r*n], &b.Data[k*n], a.Data[r*m+k])
+		}
+	}
 }
 
 // matMulBlock4Cols is the pure-Go four-row kernel over columns [j, n),
-// k unrolled by four. All four lanes read before any stores, like the
-// assembly kernels' register accumulators, so duplicated remainder lanes
-// do not double-accumulate.
+// k unrolled by four, so each loaded b element feeds four rows. Row
+// indices may repeat (remainder padding): all four lanes read before any
+// stores, like the assembly tiles' register accumulators, so duplicated
+// lanes compute and store identical values instead of accumulating
+// twice.
 func matMulBlock4Cols(dst, a, b *Dense, r0, r1, r2, r3, j int) {
 	n := b.Cols
 	m := a.Cols

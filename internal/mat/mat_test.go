@@ -641,29 +641,13 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-// matMulReference is the plain row-at-a-time kernel (without the zero
-// skip), the definition the blocked and AVX paths must reproduce exactly.
-func matMulReference(a, b *Dense) *Dense {
-	out := New(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		drow := out.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			av := a.At(i, k)
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
-	return out
-}
-
 func TestMatMulBlockedMatchesReferenceBitForBit(t *testing.T) {
 	// The serving layer promises a micro-batched request gets the exact
 	// answer it would have gotten alone, so every MatMul path — the
-	// single-row kernel with its zero skip, the pure-Go 4-row block and
-	// the AVX tiles — must agree to the last bit. Shapes cover all tile
-	// remainders (rows % 4, cols % 8, odd inner dims).
+	// lone-row kernels with their zero skip, the row sweep, the pure-Go
+	// 4-row block and the AVX tiles — must agree with the plain triple
+	// loop (matMulReference) to the last bit. Shapes cover all tile
+	// remainders (rows % 8, cols % 8, odd inner dims).
 	rng := NewRand(77)
 	for _, shape := range [][3]int{
 		{1, 7, 9}, {2, 9, 12}, {3, 8, 8}, {4, 16, 24}, {5, 13, 17}, {6, 8, 16}, {7, 12, 9}, {8, 10, 11}, {9, 6, 13}, {11, 5, 21}, {12, 16, 30},

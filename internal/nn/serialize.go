@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 )
 
 // snapshot is the on-wire form of a parameter set: names, shapes, and flat
@@ -28,17 +29,20 @@ func SaveParams(w io.Writer, params []*Param) error {
 }
 
 // LoadParams restores parameter values previously written by SaveParams
-// into params. The parameter list must match in order, name and shape;
-// any mismatch is an error and leaves params partially updated only after
-// full validation (validation happens before any write). Packed copies
-// of the overwritten values (Param.Pack) are dropped.
+// into params. The parameter list must match in order, name and shape,
+// and every value must be finite — the kernels' zero skip (mat.MatMulInto)
+// is exact only over finite weights, so an Inf or NaN would make answers
+// depend on batch size. Any violation is an error; validation happens
+// before any write, so a refused snapshot leaves params as they were.
+// Packed copies of the overwritten values (Param.Pack) are dropped.
 func LoadParams(r io.Reader, params []*Param) error {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return fmt.Errorf("nn: decoding parameter snapshot: %w", err)
 	}
-	if len(snap.Names) != len(params) {
-		return fmt.Errorf("nn: snapshot has %d params, model has %d", len(snap.Names), len(params))
+	if len(snap.Names) != len(params) || len(snap.Shapes) != len(params) || len(snap.Values) != len(params) {
+		return fmt.Errorf("nn: snapshot has %d names, %d shapes and %d value lists, model has %d params",
+			len(snap.Names), len(snap.Shapes), len(snap.Values), len(params))
 	}
 	for i, p := range params {
 		if snap.Names[i] != p.Name {
@@ -51,6 +55,11 @@ func LoadParams(r io.Reader, params []*Param) error {
 		if len(snap.Values[i]) != len(p.W.Data) {
 			return fmt.Errorf("nn: param %q has %d values in snapshot, want %d",
 				p.Name, len(snap.Values[i]), len(p.W.Data))
+		}
+		for j, v := range snap.Values[i] {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return fmt.Errorf("nn: param %q value %d in snapshot is %v, want a finite number", p.Name, j, v)
+			}
 		}
 	}
 	for i, p := range params {

@@ -2,7 +2,9 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
+	"slices"
 	"testing"
 
 	"noble/internal/mat"
@@ -325,6 +327,66 @@ func TestLoadParamsMismatchErrors(t *testing.T) {
 func TestLoadParamsGarbageErrors(t *testing.T) {
 	if err := LoadParams(bytes.NewReader([]byte("not gob")), nil); err == nil {
 		t.Fatal("garbage input must error")
+	}
+}
+
+// A snapshot is bytes from disk: one whose three lists disagree in length
+// (truncated, or crafted) or that carries a non-finite weight must come
+// back as an error — never an index panic in the loader, which would
+// take Registry.Add/Reload down with it — and must leave the model's
+// weights, and the packed copy inference is using, as they were.
+func TestLoadParamsRefusesHostileSnapshots(t *testing.T) {
+	good := func() snapshot {
+		return snapshot{
+			Names:  []string{"a.W", "a.b"},
+			Shapes: [][2]int{{2, 2}, {1, 2}},
+			Values: [][]float64{{1, 2, 3, 4}, {5, 6}},
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		corrupt func(s *snapshot)
+	}{
+		{"no shapes", func(s *snapshot) { s.Shapes = nil }},
+		{"one shape short", func(s *snapshot) { s.Shapes = s.Shapes[:1] }},
+		{"no values", func(s *snapshot) { s.Values = nil }},
+		{"one value list short", func(s *snapshot) { s.Values = s.Values[:1] }},
+		{"one name short", func(s *snapshot) { s.Names = s.Names[:1] }},
+		{"an extra shape", func(s *snapshot) { s.Shapes = append(s.Shapes, [2]int{1, 1}) }},
+		{"+Inf weight", func(s *snapshot) { s.Values[0][3] = math.Inf(1) }},
+		{"-Inf bias", func(s *snapshot) { s.Values[1][0] = math.Inf(-1) }},
+		{"NaN in the last param", func(s *snapshot) { s.Values[1][1] = math.NaN() }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			snap := good()
+			c.corrupt(&snap)
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
+				t.Fatal(err)
+			}
+			d := NewDense("a", 2, 2, InitXavier, mat.NewRand(36))
+			d.Pack()
+			before := [][]float64{slices.Clone(d.Weight.W.Data), slices.Clone(d.Bias.W.Data)}
+			packed := d.Weight.packed.Load()
+			if err := LoadParams(&buf, d.Params()); err == nil {
+				t.Fatal("LoadParams accepted the snapshot")
+			}
+			if !slices.Equal(d.Weight.W.Data, before[0]) || !slices.Equal(d.Bias.W.Data, before[1]) {
+				t.Fatal("a refused snapshot changed the model's weights")
+			}
+			if d.Weight.packed.Load() != packed {
+				t.Fatal("a refused snapshot dropped the packed copy")
+			}
+		})
+	}
+	// The unbroken snapshot loads: the cases above fail for their defect.
+	var buf bytes.Buffer
+	snap := good()
+	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := LoadParams(&buf, NewDense("a", 2, 2, InitXavier, mat.NewRand(36)).Params()); err != nil {
+		t.Fatal(err)
 	}
 }
 
