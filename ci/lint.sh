@@ -22,6 +22,8 @@
 #   fuzz-smoke   every committed fuzz target for 10 s (ci/fuzz-smoke.sh)
 #   batcher x20  the batcher's tests 20 times under the race detector, so
 #                one that depends on timing shows up as a flake here
+#   split x10    core's split-pass tests 10 times under the race detector:
+#                a forward pass's row chunks run on several goroutines
 #
 # Usage: ci/lint.sh
 set -euo pipefail
@@ -87,6 +89,9 @@ ci/fuzz-smoke.sh || fail=1
 
 echo "== batcher tests x20 under -race"
 go test -race -count=20 -run 'Batcher' ./internal/serve/ || fail=1
+
+echo "== split-pass tests x10 under -race"
+go test -race -count=10 -run 'SplitPass' ./internal/core/ || fail=1
 
 if [ "$fail" -ne 0 ]; then
     echo "FAIL: lint"

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"noble/internal/dataset"
+	"noble/internal/imu"
 )
 
 // benchWiFiModel trains a paper-capacity model (two 128-unit hidden
@@ -66,13 +67,17 @@ func perfShapeWiFi() *WiFiModel {
 }
 
 // benchmarkWiFiPredictRows is one PredictBatch pass of the given size at
-// the perf shape over fingerprints with ~30% of WAPs heard — the passes
-// of one to four rows a lone device and an open-loop fleet produce, which
-// mat.MatMulInto serves with the row-sweep kernels (mat.BenchmarkGemmB1–4
-// has the kernels alone). gflop/s counts the model's nominal FLOPs,
-// skipped zeros included.
+// the perf shape, weights packed as serve packs them, over fingerprints
+// with ~30% of WAPs heard. One to four rows are the passes a lone device
+// and an open-loop fleet produce, which mat.MatMulInto serves with the
+// row-sweep kernels (mat.BenchmarkGemmB1–4 has the kernels alone); 8 to
+// 32 rows are a localize_bulk request's pass and the chunk sizes
+// splitPass could cut it into — run them at -cpu 1,2 to see the one-core
+// rate per chunk size and what the second core buys a split pass. gflop/s
+// counts the model's nominal FLOPs, skipped zeros included.
 func benchmarkWiFiPredictRows(b *testing.B, size int) {
 	m := perfShapeWiFi()
+	m.PackWeights()
 	rng := rand.New(rand.NewSource(7))
 	rows := make([][]float64, size)
 	for i := range rows {
@@ -90,7 +95,54 @@ func benchmarkWiFiPredictRows(b *testing.B, size int) {
 	b.ReportMetric(float64(m.FLOPs())*float64(size)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflop/s")
 }
 
-func BenchmarkWiFiPredictRows1(b *testing.B) { benchmarkWiFiPredictRows(b, 1) }
-func BenchmarkWiFiPredictRows2(b *testing.B) { benchmarkWiFiPredictRows(b, 2) }
-func BenchmarkWiFiPredictRows3(b *testing.B) { benchmarkWiFiPredictRows(b, 3) }
-func BenchmarkWiFiPredictRows4(b *testing.B) { benchmarkWiFiPredictRows(b, 4) }
+func BenchmarkWiFiPredictRows1(b *testing.B)  { benchmarkWiFiPredictRows(b, 1) }
+func BenchmarkWiFiPredictRows2(b *testing.B)  { benchmarkWiFiPredictRows(b, 2) }
+func BenchmarkWiFiPredictRows3(b *testing.B)  { benchmarkWiFiPredictRows(b, 3) }
+func BenchmarkWiFiPredictRows4(b *testing.B)  { benchmarkWiFiPredictRows(b, 4) }
+func BenchmarkWiFiPredictRows8(b *testing.B)  { benchmarkWiFiPredictRows(b, 8) }
+func BenchmarkWiFiPredictRows16(b *testing.B) { benchmarkWiFiPredictRows(b, 16) }
+func BenchmarkWiFiPredictRows24(b *testing.B) { benchmarkWiFiPredictRows(b, 24) }
+func BenchmarkWiFiPredictRows32(b *testing.B) { benchmarkWiFiPredictRows(b, 32) }
+
+// benchShapeIMU is the untrained IMU architecture at the shape bench/
+// serves: the campus walk at 8 m spacing, paths of up to 10 segments of 5
+// frames, a 16-wide projection and a {128, 128} displacement module.
+func benchShapeIMU() (*IMUModel, []imu.Path) {
+	sensors := imu.DefaultConfig()
+	sensors.ReadingsPerSegment = 48
+	sensors.TotalSegments = 96
+	track := imu.Synthesize(imu.NewCampusNetwork(8), sensors, 2021)
+	ds := imu.BuildPaths(track, imu.PathConfig{NumPaths: 400, MaxLen: 10, Frames: 5, TrainFrac: 0.7, ValFrac: 0.1, Seed: 7})
+	cfg := DefaultIMUConfig()
+	cfg.ProjDim = 16
+	cfg.Hidden = []int{128, 128}
+	cfg.Tau = 1.0
+	return NewIMUModel(ds, cfg), ds.Test
+}
+
+// benchmarkIMUPredictPaths is one PredictPaths pass of size paths at the
+// bench shape, weights packed; with chunk > 0 the pass is instead cut into
+// chunk-path PredictPaths calls run by splitPass, which is what the
+// helper would buy the track batcher's passes at -cpu 2. A track pass is
+// as large as the number of sessions stepping at once: one or two on
+// bench's track_durable, 8–11 on average (at most 16) on noble-perf's
+// c16 scenarios.
+func benchmarkIMUPredictPaths(b *testing.B, size, chunk int) {
+	m, test := benchShapeIMU()
+	m.PackWeights()
+	paths := cycleRows(test, size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if chunk == 0 {
+			m.PredictPaths(paths)
+			continue
+		}
+		splitPass(size, chunk, func(lo, hi int) { m.PredictPaths(paths[lo:hi]) })
+	}
+	b.ReportMetric(float64(m.FLOPs())*float64(size)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflop/s")
+}
+
+func BenchmarkIMUPredictPathsRows2(b *testing.B)   { benchmarkIMUPredictPaths(b, 2, 0) }
+func BenchmarkIMUPredictPathsRows8(b *testing.B)   { benchmarkIMUPredictPaths(b, 8, 0) }
+func BenchmarkIMUPredictPathsRows16(b *testing.B)  { benchmarkIMUPredictPaths(b, 16, 0) }
+func BenchmarkIMUPredictPathsSplit16(b *testing.B) { benchmarkIMUPredictPaths(b, 16, 8) }

@@ -219,10 +219,24 @@ func TrainWiFiAugmented(ds *dataset.WiFi, extra []dataset.WiFiSample, cfg WiFiCo
 // class is looked up in the codebook for its central coordinates (§III-B),
 // and the building/floor heads report their argmax (falling back to 0 when
 // the head is disabled). After EnableInt8 the forward pass runs the
-// quantized mirror; decoding is identical either way.
+// quantized mirror; decoding is identical either way. A pass of more than
+// passChunkRows rows runs as row chunks on up to GOMAXPROCS cores
+// (splitPass), with the same answers.
 func (m *WiFiModel) PredictMatrix(x *mat.Dense) []WiFiPrediction {
-	outs := m.headOutputs(x)
 	preds := make([]WiFiPrediction, x.Rows)
+	if x.Rows <= passChunkRows {
+		m.predictInto(preds, x)
+		return preds
+	}
+	splitPass(x.Rows, passChunkRows, func(lo, hi int) {
+		m.predictInto(preds[lo:hi], mat.FromSlice(hi-lo, x.Cols, x.Data[lo*x.Cols:hi*x.Cols]))
+	})
+	return preds
+}
+
+// predictInto runs one forward pass over x and decodes row i into preds[i].
+func (m *WiFiModel) predictInto(preds []WiFiPrediction, x *mat.Dense) {
+	outs := m.headOutputs(x)
 	for i := range preds {
 		cls := mat.ArgMax(outs[m.fineHead].Row(i))
 		p := WiFiPrediction{Class: cls, Pos: m.Grids.Fine.Decode(cls)}
@@ -234,7 +248,6 @@ func (m *WiFiModel) PredictMatrix(x *mat.Dense) []WiFiPrediction {
 		}
 		preds[i] = p
 	}
-	return preds
 }
 
 // PredictBatch runs inference on a batch of normalized fingerprints given

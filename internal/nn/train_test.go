@@ -335,30 +335,36 @@ func TestLoadParamsGarbageErrors(t *testing.T) {
 // back as an error — never an index panic in the loader, which would
 // take Registry.Add/Reload down with it — and must leave the model's
 // weights, and the packed copy inference is using, as they were.
-func TestLoadParamsRefusesHostileSnapshots(t *testing.T) {
-	good := func() snapshot {
-		return snapshot{
-			Names:  []string{"a.W", "a.b"},
-			Shapes: [][2]int{{2, 2}, {1, 2}},
-			Values: [][]float64{{1, 2, 3, 4}, {5, 6}},
-		}
+// goodSnapshot is a snapshot that loads into NewDense("a", 2, 2, ...).
+func goodSnapshot() snapshot {
+	return snapshot{
+		Names:  []string{"a.W", "a.b"},
+		Shapes: [][2]int{{2, 2}, {1, 2}},
+		Values: [][]float64{{1, 2, 3, 4}, {5, 6}},
 	}
-	for _, c := range []struct {
-		name    string
-		corrupt func(s *snapshot)
-	}{
-		{"no shapes", func(s *snapshot) { s.Shapes = nil }},
-		{"one shape short", func(s *snapshot) { s.Shapes = s.Shapes[:1] }},
-		{"no values", func(s *snapshot) { s.Values = nil }},
-		{"one value list short", func(s *snapshot) { s.Values = s.Values[:1] }},
-		{"one name short", func(s *snapshot) { s.Names = s.Names[:1] }},
-		{"an extra shape", func(s *snapshot) { s.Shapes = append(s.Shapes, [2]int{1, 1}) }},
-		{"+Inf weight", func(s *snapshot) { s.Values[0][3] = math.Inf(1) }},
-		{"-Inf bias", func(s *snapshot) { s.Values[1][0] = math.Inf(-1) }},
-		{"NaN in the last param", func(s *snapshot) { s.Values[1][1] = math.NaN() }},
-	} {
+}
+
+// hostileSnapshots are goodSnapshot broken one way each; LoadParams must
+// refuse every one.
+var hostileSnapshots = []struct {
+	name    string
+	corrupt func(s *snapshot)
+}{
+	{"no shapes", func(s *snapshot) { s.Shapes = nil }},
+	{"one shape short", func(s *snapshot) { s.Shapes = s.Shapes[:1] }},
+	{"no values", func(s *snapshot) { s.Values = nil }},
+	{"one value list short", func(s *snapshot) { s.Values = s.Values[:1] }},
+	{"one name short", func(s *snapshot) { s.Names = s.Names[:1] }},
+	{"an extra shape", func(s *snapshot) { s.Shapes = append(s.Shapes, [2]int{1, 1}) }},
+	{"+Inf weight", func(s *snapshot) { s.Values[0][3] = math.Inf(1) }},
+	{"-Inf bias", func(s *snapshot) { s.Values[1][0] = math.Inf(-1) }},
+	{"NaN in the last param", func(s *snapshot) { s.Values[1][1] = math.NaN() }},
+}
+
+func TestLoadParamsRefusesHostileSnapshots(t *testing.T) {
+	for _, c := range hostileSnapshots {
 		t.Run(c.name, func(t *testing.T) {
-			snap := good()
+			snap := goodSnapshot()
 			c.corrupt(&snap)
 			var buf bytes.Buffer
 			if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
@@ -381,7 +387,7 @@ func TestLoadParamsRefusesHostileSnapshots(t *testing.T) {
 	}
 	// The unbroken snapshot loads: the cases above fail for their defect.
 	var buf bytes.Buffer
-	snap := good()
+	snap := goodSnapshot()
 	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
 		t.Fatal(err)
 	}

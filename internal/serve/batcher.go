@@ -41,6 +41,14 @@ type PredictFunc[R, P any] func(model string, rows []R) ([]P, error)
 // baseline). Results are split back per request in arrival order. The
 // model is resolved at flush time, so a batch formed across a hot reload
 // simply runs on the newest generation.
+//
+// A model's passes run one at a time, but a pass is not confined to one
+// core: a localize pass of more than 16 rows runs as 16-row chunks on the
+// dispatcher goroutine and up to GOMAXPROCS−1 helpers inside
+// (*core.WiFiModel).PredictMatrix, one generation for the whole pass.
+// Smaller passes and every track pass run on the dispatcher alone. A
+// panic in a helper's chunk is re-raised on the dispatcher, where run
+// turns it into an inference error like any other.
 type Batcher[R, P any] struct {
 	Window   time.Duration
 	MaxBatch int

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -16,8 +18,10 @@ import (
 
 	"noble/internal/core"
 	"noble/internal/dataset"
+	"noble/internal/geo"
 	"noble/internal/imu"
 	"noble/internal/mat"
+	"noble/internal/quantize"
 )
 
 // Tiny fixtures, trained once per test binary.
@@ -256,9 +260,11 @@ func TestBatchedLocalizeMatchesUnbatched(t *testing.T) {
 	// open so the n requests meet in the queue whatever the scheduler does.
 	// The sizes straddle the packed weight layout's threshold (passes of
 	// mat.PackedMinRows rows read it, and the first such pass builds it)
-	// and its 8-row blocks; the lone Predict each answer is compared with
-	// always reads the row-major weights.
-	for _, n := range []int{4, 5, 8, 9, 16, 31, 32, 33} {
+	// and its 8-row blocks, and passes core splits into row chunks across
+	// cores (17 and 48 leave a short last chunk and fill three); the lone
+	// Predict each answer is compared with always reads the row-major
+	// weights on one core.
+	for _, n := range []int{4, 5, 8, 9, 16, 17, 31, 32, 33, 48} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) { batchedLocalizeMatchesUnbatched(t, n) })
 	}
 }
@@ -372,6 +378,42 @@ func TestFirstLargePassPacksThePlacedModelOnce(t *testing.T) {
 	localize(rows)
 	if wifi.PackedBytes() != packed {
 		t.Fatalf("packed bytes %d -> %d after a later pass", packed, wifi.PackedBytes())
+	}
+}
+
+// A panic inside a pass core has split across cores — here a fine head
+// wider than its codebook, so every chunk's decode indexes past the end —
+// may happen on a helper goroutine, outside the batcher's recover. It
+// must still come back as a 500 inference error, not end the process.
+// The model is wide (160 → 256 → 256 → 1002) so each of the 48-row
+// pass's three chunks lasts long enough for a helper to claim one. Five
+// passes in a row: the engine keeps answering, and a helper whose panic
+// escaped its pass would end the test binary during a later one.
+func TestSplitPassPanicIsInferenceError(t *testing.T) {
+	ds := &dataset.WiFi{NumWAPs: 160, NumBuildings: 1, NumFloors: 1}
+	ds.Train = make([]dataset.WiFiSample, 1002)
+	for i := range ds.Train {
+		ds.Train[i].Pos = geo.Point{X: float64(i%34) * 4.5, Y: float64(i/34) * 4.5}
+	}
+	cfg := core.DefaultWiFiConfig()
+	cfg.Hidden = []int{256, 256}
+	wifi := core.NewWiFiModel(ds, cfg)
+	wifi.Grids = &quantize.MultiRes{Fine: new(quantize.Grid), Coarse: wifi.Grids.Coarse}
+	reg := NewRegistry("", t.Logf)
+	reg.Add(&Model{Name: "broken", Kind: KindWiFi, WiFi: wifi})
+	eng := NewEngine(Config{Registry: reg, BatchWindow: 5 * time.Millisecond, MaxBatch: 64})
+	fps := make([][]float64, 48)
+	for i := range fps {
+		fps[i] = make([]float64, ds.NumWAPs)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for range 5 {
+		_, err := eng.Localize(context.Background(), LocalizeQuery{Model: "broken", Fingerprints: fps})
+		var e *Error
+		if !errors.As(err, &e) || e.Code != CodeInference || e.Status != http.StatusInternalServerError ||
+			!strings.Contains(e.Message, "inference panic") {
+			t.Fatalf("Localize returned %v, want a 500 %s error for the inference panic", err, CodeInference)
+		}
 	}
 }
 
