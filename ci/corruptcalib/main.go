@@ -1,8 +1,8 @@
 // Command corruptcalib simulates post-publish bundle damage for the CI
-// accuracy-gate check (ci/accuracy-gate.sh): it multiplies every entry
-// of a bundle's act_scales by a factor and rewrites calibration.json in
-// place. It deliberately edits the JSON generically — the way a buggy
-// deploy script or a hand edit would — rather than going through the
+// int8 gate (ci/int8-gate.sh): it multiplies every entry of a bundle's
+// act_scales by a factor and rewrites calibration.json in place. It
+// deliberately edits the JSON generically — the way a buggy deploy
+// script or a hand edit would — rather than going through the
 // serve package's typed writer, so the load-time gate is exercised
 // against genuinely foreign bytes.
 package main

@@ -16,7 +16,7 @@
 #     failure (the registry stamp covers every payload file, so the
 #     fix is noticed).
 #
-# Usage: ci/accuracy-gate.sh [workdir]
+# Usage: ci/int8-gate.sh [workdir]
 set -euo pipefail
 
 work="${1:-$(mktemp -d)}"

@@ -10,8 +10,8 @@
 #      and republishes with a loose auto-promote sidecar: the new
 #      generation must enter SHADOW and ride the PR-9 pipeline to
 #      active with no human in the loop;
-#   C. the in-server path: `noble-serve -admin-addr ... -retrain
-#      demo-wifi` kicks POST /admin/retrain/{model}, /debug/retrain
+#   C. the in-server path: a curl POST /admin/retrain/demo-wifi on
+#      the admin plane kicks the in-process manager, /debug/retrain
 #      must report the run ok, the noble_retrain_* metrics must account
 #      for it, and the second republish must promote the same way.
 #
@@ -110,7 +110,7 @@ shadows=$(counter 'noble_lifecycle_transitions_total{model="demo-wifi",to="shado
 [ "${shadows:-0}" -ge 1 ] || fail "retrained bundle never entered shadow (it must not activate directly)"
 
 echo "== phase C: admin-plane kick must retrain in-process"
-"$bin/noble-serve" -admin-addr "$admin" -retrain demo-wifi 2>&1 | sed 's/^/   /'
+curl -fsS -X POST "http://$admin/admin/retrain/demo-wifi" | sed 's/^/   /'
 ok=""
 for _ in $(seq 1 240); do
     if curl -fsS "http://$admin/debug/retrain" 2>/dev/null | grep -q '"status":"ok"'; then

@@ -6,20 +6,22 @@
 //
 // Usage:
 //
-//	noble-replay -journal ./state -models ./models [-speed 0]
-//	             [-eps 0] [-batch-window 2ms] [-batch-max 64]
+//	noble-replay -journal ./state -models ./models [-speed 0] [-eps 0]
 //
 // Every recorded session is replayed concurrently (as its traffic was),
 // each event in order, through the same engine entry points the HTTP
-// handlers use — so micro-batching coalesces replayed steps exactly as
-// it coalesced the live ones. -speed scales the recorded timeline (1 =
-// real time, 10 = ten times faster); the default 0 replays as fast as
-// possible. Each replayed step's decoded estimate is compared with the
-// recorded one: with the same model bundles the forward pass is
-// deterministic and the report shows zero divergence, so a non-zero
-// report after a model or code change is a behavioral diff against
-// recorded production traffic. Exits non-zero when any step diverged
-// beyond -eps or any replay call failed, so it slots into CI directly.
+// handlers use, on an engine at serve.Config's defaults: each replayed
+// call runs its own forward pass. By the batch-size contract (DESIGN.md
+// §2) a row's answer does not depend on the pass it rode in, so the live
+// server's coalesced answers must come back exactly. -speed scales the
+// recorded timeline (1 = real time, 10 = ten times faster); the default
+// 0 replays as fast as possible. Each replayed step's decoded estimate is
+// compared with the recorded one: with the same model bundles the
+// forward pass is deterministic and the report shows zero divergence, so
+// a non-zero report after a model or code change is a behavioral diff
+// against recorded production traffic. Exits non-zero when any step
+// diverged beyond -eps or any replay call failed, so it slots into CI
+// directly.
 package main
 
 import (
@@ -44,8 +46,6 @@ func main() {
 	modelsDir := flag.String("models", "models", "bundle directory with the models the journal was recorded against")
 	speed := flag.Float64("speed", 0, "timeline multiplier: 1 = recorded pacing, 10 = 10x, 0 = as fast as possible")
 	eps := flag.Float64("eps", 0, "divergence tolerance in position units (0 = exact)")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "micro-batch coalescing window (0 disables batching)")
-	batchMax := flag.Int("batch-max", 64, "max rows per coalesced forward pass")
 	flag.Parse()
 	if *journalDir == "" {
 		fatal("-journal is required")
@@ -64,11 +64,7 @@ func main() {
 	if _, _, err := reg.Reload(); err != nil {
 		fatal("loading bundles", "dir", *modelsDir, "err", err)
 	}
-	engine := serve.NewEngine(serve.Config{
-		Registry:    reg,
-		BatchWindow: *batchWindow,
-		MaxBatch:    *batchMax,
-	})
+	engine := serve.NewEngine(serve.Config{Registry: reg})
 
 	rep, err := serve.ReplayJournal(context.Background(), engine, rec, serve.ReplayOptions{
 		Speed: *speed, Eps: *eps,

@@ -28,30 +28,31 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"path/filepath"
 	"strings"
-	"time"
 
 	"noble/internal/retrain"
 	"noble/internal/serve"
 )
 
+// The flag surface, pinned by the golden help test. The corpus location
+// (<state-dir>/retrain), retention and per-model cap are the retrain
+// package's, shared with noble-serve's in-process manager.
+var (
+	stateDir    = flag.String("state-dir", "", "session WAL directory to harvest; the corpus lives under it (required)")
+	models      = flag.String("models", "", "bundle directory to retrain into (required unless -harvest-only)")
+	modelFlag   = flag.String("model", "", "comma-separated wifi bundles to retrain (default: every retrainable bundle with corpus fixes)")
+	harvestOnly = flag.Bool("harvest-only", false, "harvest into the corpus and stop")
+	minFixes    = flag.Int("min-fixes", 1, "refuse to retrain a model with fewer corpus fixes than this")
+	target      = flag.String("target", "", "write a lifecycle.json sidecar with this promotion target (shadow, canary, or active; empty keeps the bundle's existing sidecar)")
+	polShadow   = flag.Int64("policy-min-shadow", 0, "sidecar policy: mirrored samples a shadow needs before canary (0 = registry default)")
+	polCanary   = flag.Int64("policy-min-canary", 0, "sidecar policy: canary evaluation window, in samples (0 = registry default)")
+	polErr      = flag.Float64("policy-max-error-delta", 0, "sidecar policy: max live error delta vs active, meters (0 = registry default)")
+	polP99      = flag.Float64("policy-max-p99-delta", 0, "sidecar policy: max p99 pass-latency delta, ms (0 = registry default)")
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("noble-retrain: ")
-	stateDir := flag.String("state-dir", "", "session WAL directory to harvest (required)")
-	models := flag.String("models", "", "bundle directory to retrain into (required unless -harvest-only)")
-	corpusDir := flag.String("corpus", "", "training corpus directory (default <state-dir>/retrain)")
-	modelFlag := flag.String("model", "", "comma-separated wifi bundles to retrain (default: every retrainable bundle with corpus fixes)")
-	harvestOnly := flag.Bool("harvest-only", false, "harvest into the corpus and stop")
-	minFixes := flag.Int("min-fixes", 1, "refuse to retrain a model with fewer corpus fixes than this")
-	retention := flag.Duration("retention", 168*time.Hour, "drop corpus fixes older than this (0 keeps everything)")
-	maxFixes := flag.Int("max-fixes", 100000, "cap each model's corpus at the newest N fixes (0 = unbounded)")
-	target := flag.String("target", "", "write a lifecycle.json sidecar with this promotion target (shadow, canary, or active; empty keeps the bundle's existing sidecar)")
-	polShadow := flag.Int64("policy-min-shadow", 0, "sidecar policy: mirrored samples a shadow needs before canary (0 = registry default)")
-	polCanary := flag.Int64("policy-min-canary", 0, "sidecar policy: canary evaluation window, in samples (0 = registry default)")
-	polErr := flag.Float64("policy-max-error-delta", 0, "sidecar policy: max live error delta vs active, meters (0 = registry default)")
-	polP99 := flag.Float64("policy-max-p99-delta", 0, "sidecar policy: max p99 pass-latency delta, ms (0 = registry default)")
 	flag.Parse()
 
 	if *stateDir == "" {
@@ -59,9 +60,6 @@ func main() {
 	}
 	if *models == "" && !*harvestOnly {
 		log.Fatal("-models is required (or pass -harvest-only)")
-	}
-	if *corpusDir == "" {
-		*corpusDir = filepath.Join(*stateDir, "retrain")
 	}
 	var spec *serve.LifecycleSpec
 	switch *target {
@@ -81,14 +79,11 @@ func main() {
 	}
 
 	mgr := retrain.NewManager(retrain.ManagerConfig{
-		StateDir:    *stateDir,
-		ModelsDir:   *models,
-		CorpusDir:   *corpusDir,
-		Retention:   *retention,
-		MaxPerModel: *maxFixes,
-		MinFixes:    *minFixes,
-		Lifecycle:   spec,
-		Logf:        log.Printf,
+		StateDir:  *stateDir,
+		ModelsDir: *models,
+		MinFixes:  *minFixes,
+		Lifecycle: spec,
+		Logf:      log.Printf,
 	})
 
 	// Harvest, then retrain each target. An empty corpus is a
@@ -102,7 +97,7 @@ func main() {
 	log.Printf("harvest: %d sessions scanned, %d fixes visible, %d new, %d pruned, corpus now %d",
 		stats.Sessions, stats.Scanned, stats.Added, stats.Pruned, stats.Total)
 	if stats.Total == 0 {
-		log.Fatalf("corpus at %s is empty after harvest — no re-anchor fixes in %s", *corpusDir, *stateDir)
+		log.Fatalf("corpus under %s is empty after harvest — no re-anchor fixes in its session WAL", *stateDir)
 	}
 	if *harvestOnly {
 		return

@@ -5,41 +5,37 @@
 //
 // Usage:
 //
-//	noble-serve -models ./models [-addr :8080] [-batch-window 2ms]
-//	            [-batch-max 32] [-reload 2s] [-session-ttl 10m]
-//	            [-session-sweep 0] [-demo] [-demo-tiny]
-//	            [-state-dir ./state] [-fsync interval] [-sync-interval 100ms]
-//	            [-compact-every 1m] [-trace] [-trace-sample 1.0]
-//	            [-trace-ring 256] [-slow-ms 250] [-admin-addr addr]
+//	noble-serve -models ./models [-addr :8080] [-admin-addr addr]
+//	            [-reload 2s] [-batch-window 2ms] [-batch-max 32]
+//	            [-session-ttl 10m] [-demo | -demo-tiny] [-check-bundles]
+//	            [-state-dir ./state] [-fsync interval] [-compact-every 1m]
 //	            [-mirror-rate 0.1] [-lifecycle-tick 5s]
-//	            [-retrain-corpus dir] [-retrain-every 0] [-retrain-tick 30s]
-//	            [-retrain-max-error-delta 0] [-retrain-min-samples 50]
-//	            [-retrain-retention 168h] [-retrain-min-fixes 8]
-//	noble-serve -admin-addr host:port -promote model
-//	noble-serve -admin-addr host:port -rollback model
-//	noble-serve -admin-addr host:port -retrain model
+//	            [-retrain-every 0] [-retrain-max-error-delta 0]
+//	            [-retrain-min-samples 50] [-retrain-min-fixes 8] [-log-json]
+//
+// Every flag is parsed and checked before anything touches disk: a
+// -retrain-* flag without -state-dir, an unknown -fsync, -demo together
+// with -demo-tiny, a -mirror-rate outside [0, 1], a negative duration, a
+// -batch-max below 1 or a stray argument is refused with an error naming
+// it.
 //
 // With -state-dir, tracking sessions are durable: every session event
 // (create, committed IMU segments, WiFi re-anchor, close/evict) is
 // appended to a CRC-framed write-ahead log under the directory, and a
 // restart restores all recorded sessions — bit-identical tracker state —
 // before the listener opens. -fsync picks the durability/latency
-// tradeoff (never, interval, always); -compact-every bounds recovery
-// cost by periodically folding the log into per-session snapshots. A
-// recorded directory replays offline with noble-replay.
+// tradeoff (never, interval = every 100ms, always); -compact-every bounds
+// recovery cost by periodically folding the log into per-session
+// snapshots. A recorded directory replays offline with noble-replay.
 //
 // Every request is traced end to end (decode, batch-queue wait, the
 // coalesced forward pass, session lock, journal append/fsync, encode);
 // per-stage latency histograms land on /metrics and complete timelines
 // on /debug/traces, tail-sampled to keep the slowest and errored
-// requests. -trace-sample thins the recent-trace ring under load
-// (histograms and the slow/errored sets still see every request);
-// -slow-ms sets the slow-request threshold for retention and the
-// rate-limited slow-request log line; -trace=false turns the tracer
-// off entirely. -admin-addr opens a second listener with the full
-// debug plane (/debug/pprof, /debug/traces, /debug/runtime,
-// /debug/lifecycle, /metrics, and the lifecycle admin endpoints)
-// kept off the serving port — bind it to loopback.
+// requests, and requests slower than 250ms are logged. -admin-addr opens
+// a second listener with the full debug plane (/debug/pprof,
+// /debug/traces, /debug/runtime, /debug/lifecycle, /metrics, and the
+// /admin/... endpoints) kept off the serving port — bind it to loopback.
 //
 // New bundle generations do not swap straight into serving: unless a
 // bundle's lifecycle.json says otherwise, a republish lands the new
@@ -50,19 +46,20 @@
 // the bundle's policy window is met, and automatically rolls back a
 // canary whose live error or pass latency regresses past policy.
 // Lifecycle transitions are journaled to -state-dir, so stages survive
-// a crash. Manual overrides run as an admin client against a live
-// server: noble-serve -admin-addr ... -promote model (or -rollback).
+// a crash. Manual overrides are admin-plane POSTs:
+//
+//	curl -X POST http://127.0.0.1:9090/admin/lifecycle/demo-wifi/promote
+//	curl -X POST http://127.0.0.1:9090/admin/lifecycle/demo-wifi/rollback
 //
 // With -state-dir the retraining loop (DESIGN.md §11) is also armed:
 // the session WAL's re-anchor fixes are harvestable into a training
-// corpus (-retrain-corpus, default <state-dir>/retrain), POST
-// /admin/retrain/{model} kicks a harvest+retrain whose republished
-// bundle enters shadow like any other, and /debug/retrain +
-// noble_retrain_* metrics expose the loop's state. Setting
-// -retrain-every and/or -retrain-max-error-delta starts the automatic
-// trigger: retrain on a wall-clock schedule, or when a model's rolling
-// re-anchor error drifts past its promotion-time baseline by the
-// configured delta (evaluated every -retrain-tick).
+// corpus under <state-dir>/retrain, POST /admin/retrain/{model} kicks a
+// harvest+retrain whose republished bundle enters shadow like any
+// other, and /debug/retrain + noble_retrain_* metrics expose the loop's
+// state. Setting -retrain-every and/or -retrain-max-error-delta starts
+// the automatic trigger, evaluated every 30s: retrain on a wall-clock
+// schedule, or when a model's rolling re-anchor error drifts past its
+// promotion-time baseline by the configured delta.
 //
 // Endpoints:
 //
@@ -97,13 +94,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -115,171 +110,172 @@ import (
 	"noble/internal/store"
 )
 
-// lifecycleOverride POSTs a manual promote/rollback to a running
-// server's admin plane and reports the server's verdict.
-func lifecycleOverride(adminAddr, model, verb string) error {
-	url := fmt.Sprintf("http://%s/admin/lifecycle/%s/%s", adminAddr, model, verb)
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Post(url, "application/json", nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("server said %s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-	return nil
+// retrainTick is the retrain trigger's evaluation cadence: each tick
+// harvests the WAL and checks drift and schedule. It undercuts the
+// default -compact-every, so fixes are harvested before compaction
+// folds them into fingerprint-less snapshots.
+const retrainTick = 30 * time.Second
+
+// config is the whole operator surface: one field per flag, filled and
+// checked by parseConfig before run performs any side effect.
+type config struct {
+	addr, adminAddr     string
+	modelsDir, stateDir string
+	reload              time.Duration
+	checkBundles        bool
+	demo, demoTiny      bool
+	batchWindow         time.Duration
+	batchMax            int
+	sessionTTL          time.Duration
+	fsync               store.FsyncPolicy
+	compactEvery        time.Duration
+	mirrorRate          float64
+	lifecycleTick       time.Duration
+	retrainEvery        time.Duration
+	retrainMaxErrDelta  float64
+	retrainMinSamples   int64
+	retrainMinFixes     int
+	logJSON             bool
 }
 
-// retrainOverride POSTs a manual retrain kick to a running server's
-// admin plane. The server answers 202 and runs the harvest+retrain in
-// the background; watch /debug/retrain for the outcome.
-func retrainOverride(adminAddr, model string) error {
-	url := fmt.Sprintf("http://%s/admin/retrain/%s", adminAddr, model)
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Post(url, "application/json", nil)
-	if err != nil {
-		return err
+// newFlagSet declares every flag on a fresh set, bound to cfg. The help
+// golden and the README flag-table test render it without running
+// anything.
+func newFlagSet(cfg *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("noble-serve", flag.ContinueOnError)
+	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&cfg.adminAddr, "admin-addr", "", "debug/admin-plane listen address (pprof, traces, /admin/... endpoints; empty disables — bind to loopback)")
+	fs.StringVar(&cfg.modelsDir, "models", "models", "bundle directory (manifest.json + weights.gob per model)")
+	fs.DurationVar(&cfg.reload, "reload", 2*time.Second, "bundle directory poll interval (0 disables hot reload)")
+	fs.BoolVar(&cfg.checkBundles, "check-bundles", false, "load every bundle (int8 bundles re-run the accuracy gate) and exit: 0 if all load, 1 otherwise")
+	fs.BoolVar(&cfg.demo, "demo", false, "train small demo models into -models before serving")
+	fs.BoolVar(&cfg.demoTiny, "demo-tiny", false, "train miniature demo models instead (seconds, not minutes) — for smoke tests and CI, not benchmarks")
+	fs.DurationVar(&cfg.batchWindow, "batch-window", 2*time.Millisecond, "micro-batch coalescing window (0 disables batching)")
+	fs.IntVar(&cfg.batchMax, "batch-max", 32, "max fingerprints per coalesced forward pass (best ≈ expected concurrent cohort)")
+	fs.DurationVar(&cfg.sessionTTL, "session-ttl", 10*time.Minute, "evict tracking sessions idle longer than this, swept every ttl/4 (0 disables eviction)")
+	fs.StringVar(&cfg.stateDir, "state-dir", "", "durable session journal directory; also holds the retrain corpus (empty disables persistence and retraining)")
+	fs.Func("fsync", "journal durability `policy`: never (buffered only), interval (fsync every 100ms; the default), always (group-committed fsync per request)",
+		func(s string) (err error) {
+			cfg.fsync, err = store.ParseFsyncPolicy(s)
+			return err
+		})
+	fs.DurationVar(&cfg.compactEvery, "compact-every", time.Minute, "journal snapshot/compaction cadence (0 disables compaction)")
+	fs.Float64Var(&cfg.mirrorRate, "mirror-rate", 0.1, "fraction in [0, 1] of localize/track traffic mirrored through staged (shadow/canary) generations for live evaluation")
+	fs.DurationVar(&cfg.lifecycleTick, "lifecycle-tick", 5*time.Second, "promotion-controller evaluation cadence (0 disables automatic promotion/rollback; admin overrides still work)")
+	fs.DurationVar(&cfg.retrainEvery, "retrain-every", 0, "retrain each corpus-backed wifi bundle on this wall-clock schedule (0 disables the schedule trigger; needs -state-dir)")
+	fs.Float64Var(&cfg.retrainMaxErrDelta, "retrain-max-error-delta", 0, "retrain when a model's rolling re-anchor error exceeds its baseline by this many meters (0 disables the drift trigger; needs -state-dir)")
+	fs.Int64Var(&cfg.retrainMinSamples, "retrain-min-samples", 50, "re-anchor scores needed past the baseline before the drift trigger may fire (needs -state-dir)")
+	fs.IntVar(&cfg.retrainMinFixes, "retrain-min-fixes", 8, "refuse to retrain a model with fewer corpus fixes than this (needs -state-dir)")
+	fs.BoolVar(&cfg.logJSON, "log-json", false, "emit logs as JSON instead of logfmt text")
+	return fs
+}
+
+// parseConfig parses args and checks every cross-field rule once. It
+// touches nothing but its return values, so a refused command line has
+// no side effect.
+func parseConfig(args []string) (config, error) {
+	var cfg config
+	fs := newFlagSet(&cfg)
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusAccepted {
-		return fmt.Errorf("server said %s: %s", resp.Status, strings.TrimSpace(string(body)))
+	if fs.NArg() > 0 {
+		return cfg, fmt.Errorf("unexpected argument %q (every setting is a flag)", fs.Arg(0))
 	}
-	return nil
+	if cfg.demo && cfg.demoTiny {
+		return cfg, errors.New("-demo and -demo-tiny are exclusive: pick one demo scale")
+	}
+	if !(cfg.mirrorRate >= 0 && cfg.mirrorRate <= 1) { // NaN too
+		return cfg, fmt.Errorf("-mirror-rate %g: want a fraction in [0, 1]", cfg.mirrorRate)
+	}
+	if cfg.batchMax < 1 {
+		return cfg, fmt.Errorf("-batch-max %d: want at least 1", cfg.batchMax)
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err != nil {
+			return
+		}
+		if g, ok := f.Value.(flag.Getter); ok {
+			if d, ok := g.Get().(time.Duration); ok && d < 0 {
+				err = fmt.Errorf("-%s %v: must not be negative", f.Name, d)
+				return
+			}
+		}
+		if strings.HasPrefix(f.Name, "retrain-") && cfg.stateDir == "" {
+			// Without a journal there is no retrain manager, so the flag
+			// would be silently ignored.
+			err = fmt.Errorf("-%s needs -state-dir: the retrain loop harvests the session journal", f.Name)
+		}
+	})
+	return cfg, err
 }
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	modelsDir := flag.String("models", "models", "bundle directory (manifest.json + weights.gob per model)")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond,
-		"micro-batch coalescing window (0 disables batching)")
-	batchMax := flag.Int("batch-max", 32, "max fingerprints per coalesced forward pass (best ≈ expected concurrent cohort)")
-	reload := flag.Duration("reload", 2*time.Second, "bundle directory poll interval (0 disables hot reload)")
-	sessionTTL := flag.Duration("session-ttl", 10*time.Minute, "evict tracking sessions idle longer than this (0 disables eviction)")
-	sessionSweep := flag.Duration("session-sweep", 0, "session eviction sweep interval (0 = ttl/4)")
-	demo := flag.Bool("demo", false, "train small demo models into -models before serving")
-	demoTiny := flag.Bool("demo-tiny", false, "train miniature demo models (seconds, not minutes) — for smoke tests and CI, not benchmarks")
-	checkBundles := flag.Bool("check-bundles", false, "load every bundle (int8 bundles re-run the accuracy gate) and exit: 0 if all load, 1 otherwise")
-	stateDir := flag.String("state-dir", "", "durable session journal directory (empty disables persistence)")
-	fsync := flag.String("fsync", "interval", "journal durability: never (buffered only), interval (periodic fsync), always (group-committed fsync per request)")
-	syncInterval := flag.Duration("sync-interval", 100*time.Millisecond, "journal flush+fsync cadence under -fsync=interval")
-	compactEvery := flag.Duration("compact-every", time.Minute, "journal snapshot/compaction cadence (0 disables compaction)")
-	trace := flag.Bool("trace", true, "per-request end-to-end tracing (histograms on /metrics, timelines on /debug/traces)")
-	traceSample := flag.Float64("trace-sample", 1.0, "fraction of traces admitted to the recent ring (slow/errored retention and histograms always see every request)")
-	traceRing := flag.Int("trace-ring", 256, "recent-trace ring capacity on /debug/traces")
-	slowMs := flag.Int("slow-ms", 250, "slow-request threshold in milliseconds (tail retention + rate-limited warn log)")
-	adminAddr := flag.String("admin-addr", "", "debug-plane listen address (pprof, traces, runtime; empty disables — bind to loopback)")
-	logJSON := flag.Bool("log-json", false, "emit logs as JSON instead of logfmt text")
-	mirrorRate := flag.Float64("mirror-rate", 0.1,
-		"fraction of localize/track traffic mirrored through staged (shadow/canary) generations for live evaluation (0 disables sampled mirroring)")
-	lifecycleTick := flag.Duration("lifecycle-tick", 5*time.Second,
-		"promotion-controller evaluation cadence (0 disables automatic promotion/rollback; manual overrides still work)")
-	promote := flag.String("promote", "",
-		"admin-client mode: promote the named model's staged generation one stage via -admin-addr, then exit")
-	rollback := flag.String("rollback", "",
-		"admin-client mode: retire the named model's staged generation via -admin-addr, then exit")
-	retrainKick := flag.String("retrain", "",
-		"admin-client mode: kick a harvest+retrain of the named model via -admin-addr, then exit")
-	retrainCorpus := flag.String("retrain-corpus", "",
-		"training corpus directory for harvested re-anchor fixes (default <state-dir>/retrain; needs -state-dir)")
-	retrainTick := flag.Duration("retrain-tick", 30*time.Second,
-		"retrain trigger evaluation cadence (harvest + drift/schedule check; needs a trigger flag below to do anything)")
-	retrainEvery := flag.Duration("retrain-every", 0,
-		"retrain each corpus-backed wifi bundle on this wall-clock schedule (0 disables the schedule trigger)")
-	retrainMaxErrDelta := flag.Float64("retrain-max-error-delta", 0,
-		"retrain when a model's rolling re-anchor error exceeds its baseline by this many meters (0 disables the drift trigger)")
-	retrainMinSamples := flag.Int64("retrain-min-samples", 50,
-		"re-anchor scores needed past the baseline before the drift trigger may fire")
-	retrainRetention := flag.Duration("retrain-retention", 168*time.Hour,
-		"drop harvested corpus fixes older than this (0 keeps everything)")
-	retrainMaxFixes := flag.Int("retrain-max-fixes", 100000,
-		"cap each model's corpus at the newest N fixes (0 = unbounded)")
-	retrainMinFixes := flag.Int("retrain-min-fixes", 8,
-		"refuse to retrain a model with fewer corpus fixes than this")
-	flag.Parse()
-
-	// Structured logging: one slog logger feeds the server's own lines,
-	// the registry and journal (via the printf adapter), and the tracer's
-	// slow-request warnings.
-	var handler slog.Handler
-	if *logJSON {
+	cfg, err := parseConfig(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "noble-serve:", err)
+		os.Exit(2)
+	}
+	var handler slog.Handler = slog.NewTextHandler(os.Stderr, nil)
+	if cfg.logJSON {
 		handler = slog.NewJSONHandler(os.Stderr, nil)
-	} else {
-		handler = slog.NewTextHandler(os.Stderr, nil)
 	}
 	logger := slog.New(handler)
-	logf := func(format string, args ...any) { logger.Info(fmt.Sprintf(format, args...)) }
-	fatal := func(msg string, args ...any) {
-		logger.Error(msg, args...)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err = run(ctx, cfg, logger, nil)
+	stop()
+	if err != nil {
+		logger.Error("noble-serve", "err", err)
 		os.Exit(1)
 	}
+}
 
-	// Manual lifecycle/retrain overrides run as an admin-plane HTTP
-	// client against an already-running server, then exit.
-	if *promote != "" || *rollback != "" {
-		if *adminAddr == "" {
-			fatal("lifecycle override needs -admin-addr pointing at the running server's debug plane")
-		}
-		model, verb := *promote, "promote"
-		if *rollback != "" {
-			model, verb = *rollback, "rollback"
-		}
-		if err := lifecycleOverride(*adminAddr, model, verb); err != nil {
-			fatal("lifecycle override", "model", model, "action", verb, "err", err)
-		}
-		logger.Info("lifecycle override applied", "model", model, "action", verb)
-		return
-	}
-	if *retrainKick != "" {
-		if *adminAddr == "" {
-			fatal("retrain kick needs -admin-addr pointing at the running server's debug plane")
-		}
-		if err := retrainOverride(*adminAddr, *retrainKick); err != nil {
-			fatal("retrain kick", "model", *retrainKick, "err", err)
-		}
-		logger.Info("retrain kicked", "model", *retrainKick, "next", "watch /debug/retrain")
-		return
-	}
+// run boots the server from cfg and serves until ctx is done, then
+// drains in-flight requests and closes the journal. onListen, when set,
+// receives the public listener's resolved address.
+func run(ctx context.Context, cfg config, logger *slog.Logger, onListen func(addr string)) (err error) {
+	// One slog logger feeds the server's own lines, the registry and
+	// journal (via the printf adapter), and the tracer's slow-request
+	// warnings.
+	logf := func(format string, args ...any) { logger.Info(fmt.Sprintf(format, args...)) }
+	logger.Info("config", "addr", cfg.addr, "admin_addr", cfg.adminAddr, "models", cfg.modelsDir,
+		"reload", cfg.reload, "batch_window", cfg.batchWindow, "batch_max", cfg.batchMax,
+		"session_ttl", cfg.sessionTTL, "state_dir", cfg.stateDir, "fsync", cfg.fsync,
+		"compact_every", cfg.compactEvery, "mirror_rate", cfg.mirrorRate, "lifecycle_tick", cfg.lifecycleTick,
+		"retrain_every", cfg.retrainEvery, "retrain_max_error_delta", cfg.retrainMaxErrDelta,
+		"retrain_min_samples", cfg.retrainMinSamples, "retrain_min_fixes", cfg.retrainMinFixes)
 
-	if err := os.MkdirAll(*modelsDir, 0o755); err != nil {
-		fatal("creating models dir", "dir", *modelsDir, "err", err)
+	if err := os.MkdirAll(cfg.modelsDir, 0o755); err != nil {
+		return fmt.Errorf("creating models dir: %w", err)
 	}
-	if *demo || *demoTiny {
+	if cfg.demo || cfg.demoTiny {
 		scale := serve.DemoFull
-		if *demoTiny {
+		if cfg.demoTiny {
 			scale = serve.DemoTiny
 		}
-		if err := serve.TrainDemoBundles(*modelsDir, scale, logf); err != nil {
-			fatal("training demo bundles", "err", err)
+		if err := serve.TrainDemoBundles(cfg.modelsDir, scale, logf); err != nil {
+			return fmt.Errorf("training demo bundles: %w", err)
 		}
 	}
 
-	reg := serve.NewRegistry(*modelsDir, logf)
-	if *checkBundles {
+	reg := serve.NewRegistry(cfg.modelsDir, logf)
+	if cfg.checkBundles {
 		// Validation mode for CI and deploy pipelines: every bundle in
 		// the directory must load (int8 bundles must also re-pass the
 		// accuracy gate inside LoadBundle). Exit status is the verdict.
 		loaded, _, err := reg.Reload()
 		if err != nil {
-			fatal("loading bundles", "dir", *modelsDir, "err", err)
+			return fmt.Errorf("loading bundles from %s: %w", cfg.modelsDir, err)
 		}
 		if failed := reg.FailedBundles(); len(failed) > 0 {
-			fatal("bundle check failed", "failed", fmt.Sprintf("%v", failed))
+			return fmt.Errorf("bundle check failed: %v", failed)
 		}
 		logger.Info("bundle check passed", "bundles", loaded)
-		return
-	}
-
-	var tracer *obs.Tracer
-	if *trace {
-		tracer = obs.NewTracer(obs.Options{
-			RingSize:      *traceRing,
-			SampleRate:    *traceSample,
-			SlowThreshold: time.Duration(*slowMs) * time.Millisecond,
-			Logger:        logger,
-		})
+		return nil
 	}
 
 	// Durable session journal: open and recover BEFORE the engine serves
@@ -288,22 +284,19 @@ func main() {
 		journal *store.Journal
 		rec     *store.Recovery
 	)
-	if *stateDir != "" {
-		policy, err := store.ParseFsyncPolicy(*fsync)
-		if err != nil {
-			fatal("parsing -fsync", "err", err)
+	if cfg.stateDir != "" {
+		if journal, err = store.Open(store.Config{Dir: cfg.stateDir, Fsync: cfg.fsync, Logf: logf}); err != nil {
+			return fmt.Errorf("opening session journal: %w", err)
 		}
-		journal, err = store.Open(store.Config{
-			Dir:          *stateDir,
-			Fsync:        policy,
-			SyncInterval: *syncInterval,
-			Logf:         logf,
-		})
-		if err != nil {
-			fatal("opening session journal", "err", err)
-		}
+		// Deferred first, so it runs last: after the drain below has let
+		// every in-flight handler append its final event.
+		defer func() {
+			if cerr := journal.Close(); cerr != nil {
+				err = errors.Join(err, fmt.Errorf("closing session journal: %w", cerr))
+			}
+		}()
 		if rec, err = journal.Recover(); err != nil {
-			fatal("recovering session journal", "err", err)
+			return fmt.Errorf("recovering session journal: %w", err)
 		}
 		// Recovered lifecycle events drive where Reload places each
 		// bundle: a generation that was mid-canary when the process died
@@ -313,13 +306,12 @@ func main() {
 
 	engine := serve.NewEngine(serve.Config{
 		Registry:    reg,
-		BatchWindow: *batchWindow,
-		MaxBatch:    *batchMax,
-		SessionTTL:  *sessionTTL,
+		BatchWindow: cfg.batchWindow,
+		MaxBatch:    cfg.batchMax,
+		SessionTTL:  cfg.sessionTTL,
 		Journal:     journal,
-		Tracer:      tracer,
-		NoTrace:     !*trace,
-		MirrorRate:  *mirrorRate,
+		Tracer:      obs.NewTracer(obs.Options{Logger: logger}),
+		MirrorRate:  cfg.mirrorRate,
 	})
 
 	// First bundle load AFTER journal recovery (stages resume where they
@@ -327,9 +319,9 @@ func main() {
 	// installed, so even bootstrap activations are journaled).
 	loaded, _, err := reg.Reload()
 	if err != nil {
-		fatal("loading bundles", "dir", *modelsDir, "err", err)
+		return fmt.Errorf("loading bundles from %s: %w", cfg.modelsDir, err)
 	}
-	logger.Info("models loaded", "count", loaded, "dir", *modelsDir)
+	logger.Info("models loaded", "count", loaded, "dir", cfg.modelsDir)
 	for _, info := range reg.ListLifecycle() {
 		logger.Info("model", "name", info.Name, "kind", info.Kind, "precision", info.Precision,
 			"classes", info.Classes, "flops", info.FLOPs, "stage", info.Stage)
@@ -337,7 +329,7 @@ func main() {
 
 	if journal != nil {
 		sum := engine.RestoreSessions(rec)
-		logger.Info("session journal recovered", "dir", *stateDir, "fsync", *fsync,
+		logger.Info("session journal recovered", "dir", cfg.stateDir, "fsync", cfg.fsync,
 			"restored", sum.Restored, "skipped", sum.Skipped, "closed", sum.Closed, "torn", sum.Torn)
 	}
 	srv := serve.NewServer(engine)
@@ -350,22 +342,15 @@ func main() {
 	// registry, and Reload stages a fresh publish without waiting for the
 	// directory watcher.
 	var retrainMgr *retrain.Manager
-	if *stateDir != "" {
-		corpusDir := *retrainCorpus
-		if corpusDir == "" {
-			corpusDir = filepath.Join(*stateDir, "retrain")
-		}
+	if journal != nil {
 		retrainMgr = retrain.NewManager(retrain.ManagerConfig{
-			StateDir:    *stateDir,
-			ModelsDir:   *modelsDir,
-			CorpusDir:   corpusDir,
-			Retention:   *retrainRetention,
-			MaxPerModel: *retrainMaxFixes,
-			MinFixes:    *retrainMinFixes,
+			StateDir:  cfg.stateDir,
+			ModelsDir: cfg.modelsDir,
+			MinFixes:  cfg.retrainMinFixes,
 			Trigger: retrain.TriggerPolicy{
-				MaxErrorDeltaM: *retrainMaxErrDelta,
-				MinSamples:     *retrainMinSamples,
-				Every:          *retrainEvery,
+				MaxErrorDeltaM: cfg.retrainMaxErrDelta,
+				MinSamples:     cfg.retrainMinSamples,
+				Every:          cfg.retrainEvery,
 			},
 			Samples: func() []retrain.Sample {
 				var out []retrain.Sample
@@ -388,53 +373,30 @@ func main() {
 		srv.SetRetrain(retrainMgr)
 	}
 
-	if srv.Batching() {
-		logger.Info("micro-batching on", "window", *batchWindow, "max", *batchMax)
-	} else {
-		logger.Info("micro-batching off")
-	}
-	if *sessionTTL > 0 {
-		logger.Info("session eviction on", "ttl", *sessionTTL)
-	} else {
-		logger.Info("session eviction off")
-	}
-	if tracer != nil {
-		logger.Info("tracing on", "sample", tracer.SampleRate(), "ring", *traceRing, "slow_ms", *slowMs)
-	} else {
-		logger.Info("tracing off")
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go reg.Watch(ctx, *reload)
-	if *lifecycleTick > 0 {
-		ctl := &lifecycle.Controller{Registry: reg, Interval: *lifecycleTick, Logf: logf}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	go reg.Watch(ctx, cfg.reload)
+	if cfg.lifecycleTick > 0 {
+		ctl := &lifecycle.Controller{Registry: reg, Interval: cfg.lifecycleTick, Logf: logf}
 		go ctl.Run(ctx)
-		logger.Info("promotion controller on", "tick", *lifecycleTick, "mirror_rate", *mirrorRate)
-	} else {
-		logger.Info("promotion controller off")
 	}
-	if retrainMgr != nil && (*retrainEvery > 0 || *retrainMaxErrDelta > 0) {
-		go retrainMgr.Run(ctx, *retrainTick)
-		logger.Info("retrain trigger on", "tick", *retrainTick,
-			"every", *retrainEvery, "max_error_delta", *retrainMaxErrDelta, "min_samples", *retrainMinSamples)
-	} else if retrainMgr != nil {
-		logger.Info("retrain manual-only", "hint", "POST /admin/retrain/{model} or noble-retrain")
+	if retrainMgr != nil && (cfg.retrainEvery > 0 || cfg.retrainMaxErrDelta > 0) {
+		go retrainMgr.Run(ctx, retrainTick)
 	}
-	go srv.Sessions().Run(ctx, *sessionSweep)
+	go srv.Sessions().Run(ctx, 0)
 	if journal != nil {
 		go journal.Run(ctx)
-		go engine.RunJournalCompaction(ctx, *compactEvery)
+		go engine.RunJournalCompaction(ctx, cfg.compactEvery)
 	}
 
 	// Opt-in debug plane on its own listener: the full pprof family plus
 	// traces, runtime, and metrics, kept off the serving port so fleet
 	// traffic can never reach a profile endpoint.
 	var adminSrv *http.Server
-	if *adminAddr != "" {
-		adminLn, err := net.Listen("tcp", *adminAddr)
+	if cfg.adminAddr != "" {
+		adminLn, err := net.Listen("tcp", cfg.adminAddr)
 		if err != nil {
-			fatal("listening on admin addr", "addr", *adminAddr, "err", err)
+			return fmt.Errorf("listening on admin addr: %w", err)
 		}
 		adminSrv = &http.Server{Handler: srv.DebugHandler()}
 		logger.Info("debug plane listening", "addr", adminLn.Addr().String())
@@ -445,7 +407,7 @@ func main() {
 		}()
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: srv.Handler()}
 	drained := make(chan struct{})
 	go func() {
 		<-ctx.Done()
@@ -455,36 +417,38 @@ func main() {
 		// including batched passes already queued — run to completion
 		// under Shutdown.
 		srv.StartDraining()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
+		shutdownCtx, release := context.WithTimeout(context.Background(), 5*time.Second)
+		defer release()
 		httpSrv.Shutdown(shutdownCtx)
 		if adminSrv != nil {
 			adminSrv.Shutdown(shutdownCtx)
 		}
 		close(drained)
 	}()
+	// Serve returns the moment Shutdown closes the listener, while
+	// in-flight handlers are still appending — wait for the drain to
+	// finish before the journal closes, or their final events would race
+	// the close and be lost.
+	defer func() {
+		cancel()
+		<-drained
+	}()
 
 	// Listen before announcing, and announce the RESOLVED address: with
 	// -addr 127.0.0.1:0 the kernel picks a free port, and scripts (the CI
 	// crash-recovery test, the perf rig) read it from this log line
 	// instead of hard-coding a port that may be taken.
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
-		fatal("listening", "addr", *addr, "err", err)
+		return fmt.Errorf("listening: %w", err)
 	}
 	logger.Info("listening", "addr", ln.Addr().String())
-	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatal("serving", "err", err)
+	if onListen != nil {
+		onListen(ln.Addr().String())
 	}
-	if journal != nil {
-		// Serve returns the moment Shutdown closes the listener, while
-		// in-flight handlers are still appending — wait for the drain to
-		// finish before closing the journal, or their final events would
-		// race the close and be lost.
-		<-drained
-		if err := journal.Close(); err != nil {
-			logger.Error("closing session journal", "err", err)
-		}
+	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+		return fmt.Errorf("serving: %w", err)
 	}
 	logger.Info("shut down")
+	return nil
 }

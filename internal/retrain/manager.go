@@ -17,18 +17,25 @@ import (
 	"noble/internal/serve"
 )
 
+// The corpus policy. The server's in-process manager and the one-shot
+// CLI prune the same corpus, so it is one policy, owned here.
+const (
+	// corpusRetention drops harvested fixes older than a week, so a
+	// long-lived corpus tracks the current RF environment instead of
+	// averaging over every environment the deployment ever saw.
+	corpusRetention = 7 * 24 * time.Hour
+	// corpusMaxPerModel caps each model's corpus at its newest fixes.
+	corpusMaxPerModel = 100_000
+)
+
 // ManagerConfig wires a Manager.
 type ManagerConfig struct {
-	// StateDir is the session WAL directory the harvester scans.
+	// StateDir is the session WAL directory the harvester scans; the
+	// corpus lives under it, at <StateDir>/retrain.
 	StateDir string
 	// ModelsDir is the bundle directory retrained bundles republish to.
 	ModelsDir string
-	// CorpusDir is where the harvested corpus lives.
-	CorpusDir string
 
-	// Harvest policy.
-	Retention   time.Duration
-	MaxPerModel int
 	// MinFixes refuses retrains below this corpus size (default 1).
 	MinFixes int
 
@@ -76,8 +83,9 @@ const (
 // one is running is refused, not queued, so a flapping trigger cannot
 // pile up training jobs.
 type Manager struct {
-	cfg     ManagerConfig
-	trigger *Trigger
+	cfg       ManagerConfig
+	corpusDir string
+	trigger   *Trigger
 
 	mu          sync.Mutex
 	busy        bool
@@ -103,6 +111,7 @@ func NewManager(cfg ManagerConfig) *Manager {
 	}
 	return &Manager{
 		cfg:         cfg,
+		corpusDir:   filepath.Join(cfg.StateDir, "retrain"),
 		trigger:     NewTrigger(cfg.Trigger),
 		corpusFixes: map[string]int{},
 	}
@@ -117,13 +126,13 @@ func (m *Manager) HarvestNow() (HarvestStats, error) {
 }
 
 func (m *Manager) harvestLocked() (HarvestStats, error) {
-	c, err := OpenCorpus(m.cfg.CorpusDir)
+	c, err := OpenCorpus(m.corpusDir)
 	if err != nil {
 		return HarvestStats{}, err
 	}
 	stats, err := Harvest(m.cfg.StateDir, c, HarvestOptions{
-		Retention:   m.cfg.Retention,
-		MaxPerModel: m.cfg.MaxPerModel,
+		Retention:   corpusRetention,
+		MaxPerModel: corpusMaxPerModel,
 	})
 	if err != nil {
 		return stats, err
@@ -211,7 +220,7 @@ func (m *Manager) retrain(model string, rec *RunRecord) error {
 	if err != nil {
 		return fmt.Errorf("harvest: %w", err)
 	}
-	c, err := OpenCorpus(m.cfg.CorpusDir)
+	c, err := OpenCorpus(m.corpusDir)
 	if err != nil {
 		return err
 	}
@@ -322,7 +331,7 @@ func (m *Manager) Status() any {
 	defer m.mu.Unlock()
 	return map[string]any{
 		"corpus": map[string]any{
-			"dir":        m.cfg.CorpusDir,
+			"dir":        m.corpusDir,
 			"generation": m.corpusGen,
 			"fixes":      m.corpusFixes,
 			"total":      totalFixes(m.corpusFixes),

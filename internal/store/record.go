@@ -411,7 +411,12 @@ func decodeEvent(b []byte) (Event, error) {
 		r.Fingerprint = d.floats()
 		ev.ReAnchor = r
 	case EvClose:
-		ev.Close = &CloseEvent{Evicted: d.u8() == 1}
+		// The flag is 0 or 1; any other byte is damage, not a delete.
+		v := d.u8()
+		if v > 1 {
+			d.fail()
+		}
+		ev.Close = &CloseEvent{Evicted: v == 1}
 	case EvLifecycle:
 		l := &LifecycleEvent{}
 		l.Model = d.str()
