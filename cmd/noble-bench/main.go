@@ -19,13 +19,17 @@ import (
 	"noble/internal/experiments"
 )
 
+// The flag surface, pinned by the golden help test.
+var (
+	presetFlag = flag.String("preset", "small", "experiment scale: small or full")
+	onlyFlag   = flag.String("only", "", "comma-separated experiment IDs to run (default: all)")
+	listFlag   = flag.Bool("list", false, "list experiments and exit")
+	outFlag    = flag.String("o", "", "write reports to this file instead of stdout")
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("noble-bench: ")
-	presetFlag := flag.String("preset", "small", "experiment scale: small or full")
-	onlyFlag := flag.String("only", "", "comma-separated experiment IDs to run (default: all)")
-	listFlag := flag.Bool("list", false, "list experiments and exit")
-	outFlag := flag.String("o", "", "write reports to this file instead of stdout")
 	flag.Parse()
 
 	if *listFlag {

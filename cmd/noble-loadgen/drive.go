@@ -1,4 +1,4 @@
-package benchrig
+package main
 
 import (
 	"context"
@@ -23,8 +23,6 @@ type Env struct {
 	FixEvery    int              // tracking: a WiFi fix every N steps (0 = none)
 	WiFi        client.ModelInfo // the named wifi model, else the first fp64 one
 	IMU         client.ModelInfo // the named imu model, else the first fp64 one
-	WiFiInt8    client.ModelInfo // first int8 wifi-kind model (zero if none registered)
-	IMUInt8     client.ModelInfo // first int8 imu-kind model (zero if none registered)
 
 	deadline time.Time
 	pacer    *pacer // nil = closed loop
@@ -51,7 +49,7 @@ func (e *Env) EachWorker(n int, f func(w int)) {
 }
 
 // pickModels fills the model slots from the server's listing: the named
-// model where a name is given, else the first of its kind and precision.
+// model where a name is given, else the first fp64 one of its kind.
 // A model with no precision field (an old server) is fp64: the int8 tier
 // always reports itself. A slot nothing matched stays zero, and the
 // driver that needs it says so.
@@ -66,10 +64,8 @@ func (e *Env) pickModels(models []client.ModelInfo, wifi, imu string) {
 		switch m.Kind {
 		case "wifi":
 			pick(&e.WiFi, m, m.Name == wifi || wifi == "" && !int8)
-			pick(&e.WiFiInt8, m, int8)
 		case "imu":
 			pick(&e.IMU, m, m.Name == imu || imu == "" && !int8)
-			pick(&e.IMUInt8, m, int8)
 		}
 	}
 }
@@ -117,7 +113,7 @@ func (p *pacer) arrivals(deadline time.Time) (offered, shed int64) {
 
 // Load is one run of a driver against a server that is already up.
 type Load struct {
-	Run         func(env *Env) error // the driver: a Scenario.Run or a Workload
+	Run         func(env *Env) error // the driver, from Workload
 	Concurrency int
 	Duration    time.Duration
 	Seed        int64
@@ -154,11 +150,9 @@ type Driven struct {
 }
 
 // Drive runs one load against the server at baseURL through the public
-// client SDK and reduces what the recorder saw to a result. It is the
-// half of a measurement that noble-perf (after booting a fresh engine)
-// and noble-loadgen (against whatever is running) share. An error means
-// the harness could not do its job — cannot list models, cannot open a
-// stream; per-request failures are data in the result.
+// client SDK and reduces what the recorder saw to a result. An error
+// means the generator could not do its job — cannot list models, cannot
+// open a stream; per-request failures are data in the result.
 func Drive(ctx context.Context, baseURL string, l Load) (Driven, error) {
 	var zero Driven
 	if err := l.validate(); err != nil {

@@ -1,17 +1,41 @@
-package benchrig
+package main
 
 import (
 	"context"
 	"net/http/httptest"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"noble/internal/serve"
 )
 
-// demoServer is a running server over the tiny demo bundles that the
-// test, not the rig, booted — what noble-loadgen points Drive at.
+// Demo bundles shared across driver tests, trained once per test binary
+// (the tiny spec trains in well under a second).
+var (
+	demoOnce sync.Once
+	demoDir  string
+	demoErr  error
+)
+
+func demoModels(t *testing.T) string {
+	t.Helper()
+	demoOnce.Do(func() {
+		demoDir, demoErr = os.MkdirTemp("", "loadgen-models-")
+		if demoErr == nil {
+			demoErr = serve.TrainDemoBundles(demoDir, serve.DemoTiny, nil)
+		}
+	})
+	if demoErr != nil {
+		t.Fatalf("training demo bundles: %v", demoErr)
+	}
+	return demoDir
+}
+
+// demoServer is a running server over the tiny demo bundles, batching at
+// noble-serve's defaults — what noble-loadgen points Drive at.
 func demoServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	reg := serve.NewRegistry(demoModels(t), func(string, ...any) {})
@@ -19,7 +43,7 @@ func demoServer(t *testing.T) *httptest.Server {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(serve.New(serve.Config{
-		Registry: reg, BatchWindow: defaultWindow, MaxBatch: defaultMaxBatch,
+		Registry: reg, BatchWindow: 2 * time.Millisecond, MaxBatch: 32,
 	}).Handler())
 	t.Cleanup(ts.Close)
 	return ts

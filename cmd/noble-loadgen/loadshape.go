@@ -1,9 +1,8 @@
-package benchrig
+package main
 
 // The vocabulary of synthetic device traffic: payload synthesis and
-// failure classification, shared by every driver so noble-perf and
-// noble-loadgen replay the same traffic shape and bucket the identical
-// failure identically.
+// failure classification, shared by every driver so each mode replays
+// the same traffic shape and buckets the identical failure identically.
 
 import (
 	"context"
@@ -43,7 +42,7 @@ func synthSegment(rng *rand.Rand, dim int) []float64 {
 	return seg
 }
 
-// Error classes failures bucket into, in reports and BENCH.json.
+// Error classes failures bucket into in the report.
 const (
 	ErrClass4xx      = "http_4xx"
 	ErrClass5xx      = "http_5xx"
@@ -55,7 +54,7 @@ const (
 // success). A 504 is the server-side face of the same event as a
 // client-side deadline expiry (whichever side notices first is
 // scheduling luck), so both land in the deadline class — keeping
-// deadline-scenario numbers independent of which side won the race.
+// deadline counts independent of which side won the race.
 // Client-side expiry wears several shapes depending on transport:
 // context.DeadlineExceeded (net/http), os.ErrDeadlineExceeded or a
 // timeout net.Error (the SDK's fast transport enforces deadlines via

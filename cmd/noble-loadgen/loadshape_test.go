@@ -1,4 +1,4 @@
-package benchrig
+package main
 
 import (
 	"context"
@@ -63,8 +63,8 @@ func TestClassifyError(t *testing.T) {
 }
 
 func TestSynthDeterminism(t *testing.T) {
-	// Same seed, same stream — the property every BENCH comparison and
-	// cross-machine replay rests on.
+	// Same seed, same stream — the property every before/after comparison
+	// and cross-machine replay rests on.
 	a := synthFingerprint(rand.New(rand.NewSource(7)), 32)
 	b := synthFingerprint(rand.New(rand.NewSource(7)), 32)
 	for i := range a {

@@ -1,10 +1,10 @@
 // Command noble-loadgen replays synthetic device traffic against a
 // running noble-serve and reports throughput and latency, so serving
 // performance (and the effect of micro-batching) is measurable against
-// whatever is deployed. It is flag parsing, one benchrig.Drive call and a
-// report: the worker loops, payload pools, pacing, recorder and error
-// classes are the ones noble-perf's gated scenarios run, through the
-// public client SDK a real device fleet uses.
+// whatever is deployed. main is flag parsing, one Drive call and a
+// report; the worker loops (scenarios.go), payload synthesis and error
+// classes (loadshape.go), pacing (drive.go) and recorder (stats.go) speak
+// to the server through the public client SDK a real device fleet uses.
 //
 // Usage:
 //
@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"noble/client"
-	"noble/internal/benchrig"
 )
 
 // The flag surface, pinned by the golden help test.
@@ -64,11 +63,11 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("noble-loadgen: ")
 	flag.Parse()
-	run, err := benchrig.Workload(*mode, *deadline)
+	run, err := Workload(*mode, *deadline)
 	if err != nil {
 		log.Fatal(err)
 	}
-	load := benchrig.Load{
+	load := Load{
 		Run: run, Concurrency: *concurrency, Duration: *duration,
 		Seed: *seed, FixEvery: *fixEvery, QPS: *qps,
 	}
@@ -82,7 +81,7 @@ func main() {
 	ctx := context.Background()
 	scraper := client.New(*url, client.WithRetries(0, 0))
 	before := scrapeBatchStats(ctx, scraper, kind)
-	d, err := benchrig.Drive(ctx, *url, load)
+	d, err := Drive(ctx, *url, load)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -98,8 +97,8 @@ func main() {
 	fmt.Printf("  requests    %d ok, %d errors\n", d.Ok, d.Errors)
 	if d.Errors > 0 {
 		fmt.Printf("  errors      http-4xx=%d http-5xx=%d deadline=%d conn=%d\n",
-			d.ByClass[benchrig.ErrClass4xx], d.ByClass[benchrig.ErrClass5xx],
-			d.ByClass[benchrig.ErrClassDeadline], d.ByClass[benchrig.ErrClassConn])
+			d.ByClass[ErrClass4xx], d.ByClass[ErrClass5xx],
+			d.ByClass[ErrClassDeadline], d.ByClass[ErrClassConn])
 		if *mode == "stream" {
 			// A stream error is terminal for its device and recorded once.
 			fmt.Printf("  streams     %d device stream(s) ended early on an error\n", d.Errors)

@@ -1,4 +1,4 @@
-package benchrig
+package main
 
 import (
 	"sort"
@@ -11,13 +11,13 @@ import (
 
 // Recorder collects per-operation latency and error-class counts for one
 // measured pass. It is fed either by the client SDK's request hook
-// (request/response scenarios) or by explicit Record calls (streaming
-// scenarios, where there is no request/response exchange to hook). It is
-// safe for concurrent use.
+// (request/response modes) or by explicit Record calls (stream mode,
+// where there is no request/response exchange to hook). It is safe for
+// concurrent use.
 //
 // The recorder starts disarmed so setup traffic (model discovery,
-// warm-up of the connection pool) never pollutes the measurement; the
-// rig arms it at the start of the measured window.
+// warm-up of the connection pool) never pollutes the measurement; Drive
+// arms it at the start of the measured window.
 type Recorder struct {
 	armed atomic.Bool
 
@@ -42,8 +42,8 @@ func (r *Recorder) Hook() client.RequestHook {
 	}
 }
 
-// Record logs one operation timed by the scenario itself (streaming
-// scenarios, where no hook fires). err nil means success.
+// Record logs one operation timed by the driver itself (stream mode,
+// where no hook fires). err nil means success.
 func (r *Recorder) Record(d time.Duration, err error) {
 	r.observe(d, classifyError(err))
 }
@@ -85,11 +85,7 @@ func (r *Recorder) Snapshot() Counts {
 
 // LatencyMs is a latency distribution in milliseconds.
 type LatencyMs struct {
-	Mean float64 `json:"mean"`
-	P50  float64 `json:"p50"`
-	P95  float64 `json:"p95"`
-	P99  float64 `json:"p99"`
-	Max  float64 `json:"max"`
+	Mean, P50, P95, P99, Max float64
 }
 
 // summarizeSeconds reduces a sample set (seconds) to LatencyMs. The

@@ -1,4 +1,4 @@
-package benchrig
+package main
 
 import (
 	"bufio"
@@ -88,12 +88,12 @@ func (l *wireLog) digest(t *testing.T, n int) string {
 	return fmt.Sprintf("%d workers %x", len(workers), h.Sum(nil)[:8])
 }
 
-// The suite's request stream is part of BENCH_baseline.json's meaning: a
-// pool of 64 payloads drawn from the seed, worker w's step s sending
-// pool[(w*31+s)%64], a WiFi fix every 16th tracking step, session ids
-// keyed by seed and worker. The digests were taken at the commit before
-// the drivers were shared with noble-loadgen; a change here means the
-// committed baseline no longer describes the same traffic.
+// noble-loadgen's seeded request stream: a pool of 64 payloads drawn
+// from the seed, worker w's step s sending pool[(w*31+s)%64], a WiFi fix
+// every 16th tracking step (the -fix-every default), session ids keyed
+// by seed and worker. A given -seed replays the same traffic on every
+// build and machine, so runs before and after a change are comparable;
+// a change here means the same flags no longer send the same requests.
 func TestSuiteRequestStreamIsUnchanged(t *testing.T) {
 	cases := []struct {
 		name string
@@ -120,7 +120,7 @@ func TestSuiteRequestStreamIsUnchanged(t *testing.T) {
 			ts := httptest.NewServer(log)
 			defer ts.Close()
 			_, err := Drive(context.Background(), ts.URL, Load{
-				Run: tc.run(log), Concurrency: 2, Duration: 500 * time.Millisecond, Seed: 42, FixEvery: fixEvery,
+				Run: tc.run(log), Concurrency: 2, Duration: 500 * time.Millisecond, Seed: 42, FixEvery: 16,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -36,16 +36,20 @@ import (
 	"noble/internal/store"
 )
 
+// The flag surface, pinned by the golden help test.
+var (
+	journalDir = flag.String("journal", "", "state directory recorded by noble-serve -state-dir (required)")
+	modelsDir  = flag.String("models", "models", "bundle directory with the models the journal was recorded against")
+	speed      = flag.Float64("speed", 0, "timeline multiplier: 1 = recorded pacing, 10 = 10x, 0 = as fast as possible")
+	eps        = flag.Float64("eps", 0, "divergence tolerance in position units (0 = exact)")
+)
+
 func main() {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	fatal := func(msg string, args ...any) {
 		logger.Error(msg, args...)
 		os.Exit(1)
 	}
-	journalDir := flag.String("journal", "", "state directory recorded by noble-serve -state-dir (required)")
-	modelsDir := flag.String("models", "models", "bundle directory with the models the journal was recorded against")
-	speed := flag.Float64("speed", 0, "timeline multiplier: 1 = recorded pacing, 10 = 10x, 0 = as fast as possible")
-	eps := flag.Float64("eps", 0, "divergence tolerance in position units (0 = exact)")
 	flag.Parse()
 	if *journalDir == "" {
 		fatal("-journal is required")

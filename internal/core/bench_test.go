@@ -50,8 +50,8 @@ func BenchmarkWiFiPredictBatch(b *testing.B) {
 	}
 }
 
-// perfShapeWiFi is the untrained architecture at the shape bench/ and
-// serve's DemoPerf bundles run: 160 WAPs, a {256, 256} trunk, and 1002
+// perfShapeWiFi is the untrained architecture at the shape bench/ serves
+// (bench/fixture.go's perfShape): 160 WAPs, a {256, 256} trunk, and 1002
 // fine classes (a survey lattice 4.5 m apart, each position its own
 // class). Seeded-random weights cost what trained ones do.
 func perfShapeWiFi() *WiFiModel {
@@ -125,8 +125,8 @@ func benchShapeIMU() (*IMUModel, []imu.Path) {
 // chunk-path PredictPaths calls run by splitPass, which is what the
 // helper would buy the track batcher's passes at -cpu 2. A track pass is
 // as large as the number of sessions stepping at once: one or two on
-// bench's track_durable, 8–11 on average (at most 16) on noble-perf's
-// c16 scenarios.
+// bench's track_durable, up to 16 under `noble-loadgen -mode track
+// -concurrency 16`.
 func benchmarkIMUPredictPaths(b *testing.B, size, chunk int) {
 	m, test := benchShapeIMU()
 	m.PackWeights()

@@ -28,6 +28,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"noble/internal/store"
@@ -93,7 +94,11 @@ type Corpus struct {
 }
 
 // OpenCorpus loads the corpus at dir, or returns an empty corpus when
-// the directory (or its index) does not exist yet.
+// the directory (or its index) does not exist yet. The index is bytes
+// this process did not necessarily write, so it is refused unless every
+// shard it names is a plain file in dir and every model name makes one
+// (the next Save writes and removes those names). A shard with no fixes
+// is dropped: Save writes none for it.
 func OpenCorpus(dir string) (*Corpus, error) {
 	c := &Corpus{
 		dir:   dir,
@@ -118,6 +123,15 @@ func OpenCorpus(dir string) (*Corpus, error) {
 		c.meta.Models = map[string]*modelShard{}
 	}
 	for model, sh := range c.meta.Models {
+		if sh == nil {
+			return nil, fmt.Errorf("corpus index: model %q has no shard", model)
+		}
+		if !plainName(sh.File) {
+			return nil, fmt.Errorf("corpus index: model %q: shard %q is not a file name in the corpus dir", model, sh.File)
+		}
+		if _, err := shardFile(model, c.meta.Generation+1); err != nil {
+			return nil, fmt.Errorf("corpus index: %w", err)
+		}
 		raw, err := os.ReadFile(filepath.Join(dir, sh.File))
 		if err != nil {
 			return nil, fmt.Errorf("reading corpus shard %s: %w", sh.File, err)
@@ -125,6 +139,9 @@ func OpenCorpus(dir string) (*Corpus, error) {
 		var fixes []Fix
 		if err := json.Unmarshal(raw, &fixes); err != nil {
 			return nil, fmt.Errorf("decoding corpus shard %s: %w", sh.File, err)
+		}
+		if len(fixes) == 0 {
+			continue
 		}
 		c.fixes[model] = fixes
 		for i := range fixes {
@@ -250,10 +267,14 @@ func (c *Corpus) Save() error {
 	gen := c.meta.Generation + 1
 	meta := corpusMeta{Version: corpusVersion, Generation: gen, Models: map[string]*modelShard{}}
 	for _, model := range c.Models() {
+		file, err := shardFile(model, gen)
+		if err != nil {
+			return err
+		}
 		fixes := c.fixes[model]
 		sort.SliceStable(fixes, func(i, j int) bool { return fixes[i].Time < fixes[j].Time })
 		sh := &modelShard{
-			File:     fmt.Sprintf("fixes-%s-g%d.json", model, gen),
+			File:     file,
 			Fixes:    len(fixes),
 			OldestNS: fixes[0].Time,
 			NewestNS: fixes[len(fixes)-1].Time,
@@ -282,6 +303,23 @@ func (c *Corpus) Save() error {
 		}
 	}
 	return nil
+}
+
+// shardFile names model's shard for generation gen, refusing a model
+// name that would put it anywhere but directly in the corpus dir.
+func shardFile(model string, gen int64) (string, error) {
+	file := fmt.Sprintf("fixes-%s-g%d.json", model, gen)
+	if !plainName(file) {
+		return "", fmt.Errorf("model %q does not make a shard file name", model)
+	}
+	return file, nil
+}
+
+// plainName reports whether name is a single file name (no separator,
+// not "." or "..", no NUL, within the usual 255-byte limit), so joining
+// it to the corpus dir cannot leave the dir.
+func plainName(name string) bool {
+	return name != "." && len(name) <= 255 && filepath.IsLocal(name) && !strings.ContainsAny(name, "/\\\x00")
 }
 
 // writeFileAtomic marshals v as JSON and lands it at path via a

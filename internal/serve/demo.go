@@ -20,11 +20,6 @@ const (
 	// exercise every serving path (CI smoke, crash-recovery, unit
 	// tests), useless for absolute performance numbers.
 	DemoTiny = "tiny"
-	// DemoPerf is the benchmark spec noble-perf defaults to: large
-	// enough that the forward pass (not request overhead) dominates a
-	// localize request — the regime where the int8 tier's speedup is
-	// measurable — while still training in well under a minute.
-	DemoPerf = "perf"
 	// DemoFull is sized like the paper's UJI deployment; expect minutes
 	// of one-time training.
 	DemoFull = "full"
@@ -73,34 +68,6 @@ func demoSpecFor(scale string) (demoSpec, error) {
 		s.imuCfg.Hidden = []int{64, 64}
 		s.imuCfg.Epochs = 20
 		s.imuCfg.Tau = 1.0
-	case DemoPerf:
-		// Benchmark scale: ~1000 fine classes and a {256,256} trunk put
-		// the per-request forward pass solidly ahead of HTTP/batching
-		// overhead, so scenario throughput measures the model tiers —
-		// the fp64-vs-int8 comparison needs the model to dominate or the
-		// quantized speedup drowns in request plumbing. Few epochs — the
-		// rig needs realistic compute shape, not accuracy.
-		s.note = "benchmark scale, under a minute"
-		s.wifiDS = dataset.DefaultUJIConfig()
-		s.wifiDS.NumWAPs = 160
-		s.wifiDS.RefSpacing = 4.5
-		s.wifiDS.SamplesPerRef = 2
-		s.wifiDS.TestSamplesPerRef = 1
-		s.wifiCfg = core.DefaultWiFiConfig()
-		s.wifiCfg.Hidden = []int{256, 256}
-		s.wifiCfg.Epochs = 3
-
-		sensors.ReadingsPerSegment = 48
-		sensors.TotalSegments = 96
-		s.imuB = IMUBundle{Spacing: 8, Sensors: sensors, Seed: 2021, Paths: imu.PathConfig{
-			NumPaths: 400, MaxLen: 10, Frames: 5,
-			TrainFrac: 0.7, ValFrac: 0.1, Seed: 7,
-		}}
-		s.imuCfg = core.DefaultIMUConfig()
-		s.imuCfg.ProjDim = 16
-		s.imuCfg.Hidden = []int{128, 128}
-		s.imuCfg.Epochs = 8
-		s.imuCfg.Tau = 1.0
 	case DemoTiny:
 		s.note = "tiny scale, a few seconds"
 		s.wifiDS = dataset.DefaultUJIConfig()
@@ -128,20 +95,19 @@ func demoSpecFor(scale string) (demoSpec, error) {
 		// keeping it far below the hand-edit cap.
 		s.int8Budget = 5.0
 	default:
-		return s, fmt.Errorf("serve: unknown demo scale %q (want %s, %s or %s)", scale, DemoTiny, DemoPerf, DemoFull)
+		return s, fmt.Errorf("serve: unknown demo scale %q (want %s or %s)", scale, DemoTiny, DemoFull)
 	}
 	return s, nil
 }
 
 // TrainDemoBundles trains a Wi-Fi localizer ("demo-wifi") and IMU
-// tracker ("demo-imu") at the named scale (DemoTiny, DemoPerf,
-// DemoFull) and publishes them as bundles under dir, each alongside an
-// int8 twin ("demo-wifi-int8", "demo-imu-int8") calibrated and passed
-// through the accuracy gate. Bundles that already exist are kept — an
-// int8 twin missing next to an existing base bundle is rebuilt from the
-// base bundle's weights, not retrained. Shared by `noble-serve
-// -demo`/`-demo-tiny` and `noble-perf`, so every tool that
-// self-provisions models trains the same spec.
+// tracker ("demo-imu") at the named scale (DemoTiny or DemoFull) and
+// publishes them as bundles under dir, each alongside an int8 twin
+// ("demo-wifi-int8", "demo-imu-int8") calibrated and passed through the
+// accuracy gate. Bundles that already exist are kept — an int8 twin
+// missing next to an existing base bundle is rebuilt from the base
+// bundle's weights, not retrained. `noble-serve -demo`/`-demo-tiny` and
+// the tests that need real bundles all train through here.
 func TrainDemoBundles(dir string, scale string, logf func(format string, args ...any)) error {
 	if logf == nil {
 		logf = func(string, ...any) {}

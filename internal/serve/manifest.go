@@ -98,8 +98,10 @@ func parseManifest(raw []byte) (*Manifest, error) {
 	return &man, nil
 }
 
-// openBundle reads a bundle's manifest and opens its weights file; the
-// caller owns closing the returned file.
+// openBundle reads a bundle's manifest and opens its weights file, which
+// must be a regular file (a manifest naming a directory in the bundle
+// is refused here, not at the first read); the caller owns closing the
+// returned file.
 func openBundle(dir string) (*Manifest, *os.File, error) {
 	path := filepath.Join(dir, "manifest.json")
 	raw, err := os.ReadFile(path)
@@ -112,6 +114,14 @@ func openBundle(dir string) (*Manifest, *os.File, error) {
 	}
 	wf, err := os.Open(filepath.Join(dir, man.Weights))
 	if err != nil {
+		return nil, nil, fmt.Errorf("serve: opening bundle weights: %w", err)
+	}
+	fi, err := wf.Stat()
+	if err == nil && !fi.Mode().IsRegular() {
+		err = fmt.Errorf("%q is not a regular file", man.Weights)
+	}
+	if err != nil {
+		wf.Close()
 		return nil, nil, fmt.Errorf("serve: opening bundle weights: %w", err)
 	}
 	return man, wf, nil

@@ -75,21 +75,15 @@ func sizeBucket(size int) int {
 }
 
 // BatchSnapshot is a point-in-time copy of one batcher kind's counters —
-// the machine-readable view the benchmark rig (internal/benchrig) diffs
-// around a measured pass. SizeCounts is indexed like BatchSizeBuckets,
-// with one extra overflow slot for passes past the last bound.
+// the machine-readable view the benchmark (bench/) diffs around a
+// measured run. SizeCounts is indexed like batchSizeBuckets, with one
+// extra overflow slot for passes past the last bound.
 type BatchSnapshot struct {
 	Passes      int64
 	Rows        int64
 	MaxRows     int64
 	DroppedRows int64
 	SizeCounts  []int64
-}
-
-// BatchSizeBuckets returns the batch-size histogram's upper bounds
-// (shared by every kind; the final overflow bucket is implicit).
-func BatchSizeBuckets() []int {
-	return append([]int(nil), batchSizeBuckets...)
 }
 
 type endpointStats struct {

@@ -265,8 +265,8 @@ func (r *Registry) RollbackStaged(name, reason string) error {
 }
 
 // Add registers (or replaces) a model programmatically, straight to
-// active — the pre-lifecycle semantics tests, demo mode, and the bench
-// rig rely on. Its transition events are discarded.
+// active — the pre-lifecycle semantics tests, demo mode, and bench/
+// rely on. Its transition events are discarded.
 func (r *Registry) Add(m *Model) {
 	now := time.Now()
 	r.mu.Lock()
@@ -276,9 +276,8 @@ func (r *Registry) Add(m *Model) {
 }
 
 // AddStaged registers a staged generation programmatically at the given
-// stage (shadow or canary) next to the name's current active — the
-// seam tests and the bench rig's shadow-mirror scenario use to stage a
-// generation without a bundle directory.
+// stage (shadow or canary) next to the name's current active — what
+// the seam tests use to stage a generation without a bundle directory.
 func (r *Registry) AddStaged(m *Model, stage Stage) error {
 	if stage != StageShadow && stage != StageCanary {
 		return fmt.Errorf("serve: AddStaged wants shadow or canary, got %q", stage)

@@ -100,8 +100,9 @@ type Config struct {
 	// the tier-1 suite runs with it on, so instrumentation races cannot
 	// hide behind an opt-in flag. Set NoTrace to run untraced.
 	Tracer *obs.Tracer
-	// NoTrace disables request tracing entirely (the overhead-measurement
-	// baseline for noble-perf -trace=false).
+	// NoTrace disables request tracing entirely. The benchmark's
+	// end-to-end runs are untraced, and its traced/untraced pair is
+	// obs.trace_overhead_share (bench/README.md).
 	NoTrace bool
 	// MirrorRate is the fraction of localize/track traffic mirrored
 	// through staged (shadow/canary) model generations for live
