@@ -18,12 +18,15 @@ func NewTanh() *Tanh { return &Tanh{} }
 
 // Forward applies tanh element-wise.
 func (t *Tanh) Forward(x *mat.Dense, train bool) *mat.Dense {
-	out := x.Map(math.Tanh)
+	out := x.Clone()
+	t.inferInPlace(out)
 	if train {
 		t.out = out
 	}
 	return out
 }
+
+func (*Tanh) inferInPlace(x *mat.Dense) { x.Apply(math.Tanh) }
 
 // Backward multiplies by 1 - tanh²(x) element-wise.
 func (t *Tanh) Backward(dout *mat.Dense) *mat.Dense {
@@ -51,17 +54,27 @@ func NewReLU() *ReLU { return &ReLU{} }
 // Forward applies max(0, x) element-wise.
 func (r *ReLU) Forward(x *mat.Dense, train bool) *mat.Dense {
 	out := x.Clone()
-	if train {
-		r.mask = make([]bool, len(x.Data))
+	if !train {
+		r.inferInPlace(out)
+		return out
 	}
+	r.mask = make([]bool, len(x.Data))
 	for i, v := range out.Data {
 		if v < 0 {
 			out.Data[i] = 0
-		} else if train {
+		} else {
 			r.mask[i] = true
 		}
 	}
 	return out
+}
+
+func (*ReLU) inferInPlace(x *mat.Dense) {
+	for i, v := range x.Data {
+		if v < 0 {
+			x.Data[i] = 0
+		}
+	}
 }
 
 // Backward zeroes gradients where the input was negative.

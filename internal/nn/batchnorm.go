@@ -54,17 +54,12 @@ func (bn *BatchNorm) Forward(x *mat.Dense, train bool) *mat.Dense {
 	if x.Cols != bn.Features {
 		panic(fmt.Sprintf("nn: BatchNorm over %d features got %d cols", bn.Features, x.Cols))
 	}
-	out := mat.New(x.Rows, x.Cols)
 	if !train {
-		for i := 0; i < x.Rows; i++ {
-			row, orow := x.Row(i), out.Row(i)
-			for j := range row {
-				inv := 1 / math.Sqrt(bn.RunningVar[j]+bn.Eps)
-				orow[j] = bn.Gamma.W.Data[j]*(row[j]-bn.RunningMean[j])*inv + bn.Beta.W.Data[j]
-			}
-		}
+		out := x.Clone()
+		bn.inferInPlace(out)
 		return out
 	}
+	out := mat.New(x.Rows, x.Cols)
 	n := float64(x.Rows)
 	mean := x.SumRows()
 	for j := range mean {
@@ -99,6 +94,24 @@ func (bn *BatchNorm) Forward(x *mat.Dense, train bool) *mat.Dense {
 		bn.RunningVar[j] = (1-bn.Momentum)*bn.RunningVar[j] + bn.Momentum*variance[j]
 	}
 	return out
+}
+
+// inferInPlace normalizes x with the running statistics, overwriting it.
+func (bn *BatchNorm) inferInPlace(x *mat.Dense) {
+	if x.Cols != bn.Features {
+		panic(fmt.Sprintf("nn: BatchNorm over %d features got %d cols", bn.Features, x.Cols))
+	}
+	gamma, beta := bn.Gamma.W.Data, bn.Beta.W.Data
+	inv := make([]float64, x.Cols)
+	for j := range inv {
+		inv[j] = 1 / math.Sqrt(bn.RunningVar[j]+bn.Eps)
+	}
+	for i := 0; i < x.Rows; i++ {
+		row := x.Row(i)
+		for j, v := range row {
+			row[j] = gamma[j]*(v-bn.RunningMean[j])*inv[j] + beta[j]
+		}
+	}
 }
 
 // Backward implements the standard batch-norm gradient.

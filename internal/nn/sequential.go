@@ -21,12 +21,39 @@ func NewSequential(layers ...Layer) *Sequential {
 // Add appends a layer.
 func (s *Sequential) Add(l Layer) { s.Layers = append(s.Layers, l) }
 
-// Forward runs the layers in order.
+// Forward runs the layers in order. At inference an element-wise layer
+// overwrites the matrix the layer before it allocated instead of
+// allocating its own — never the caller's x, which may be the matrix a
+// pass-through layer hands on.
 func (s *Sequential) Forward(x *mat.Dense, train bool) *mat.Dense {
+	owned := false // x is a matrix a layer here allocated
 	for _, l := range s.Layers {
+		if ip, ok := l.(inPlaceLayer); ok && owned && !train {
+			ip.inferInPlace(x)
+			continue
+		}
 		x = l.Forward(x, train)
+		owned = allocatesOutput(l)
 	}
 	return x
+}
+
+// inPlaceLayer is an element-wise layer whose inference transform can
+// overwrite its input. The method is the layer's Forward(x, false)
+// without the copy, so it must not write the layer (noble-vet's
+// readonlyinfer holds it to that).
+type inPlaceLayer interface {
+	inferInPlace(x *mat.Dense)
+}
+
+// allocatesOutput reports whether l's inference Forward always returns a
+// new matrix that neither its input nor the layer holds.
+func allocatesOutput(l Layer) bool {
+	switch l.(type) {
+	case *Dense, *BlockDense, inPlaceLayer:
+		return true
+	}
+	return false
 }
 
 // Backward runs the layers in reverse order.

@@ -125,7 +125,7 @@ func TestInt8BundleCorruptedCalibrationRefused(t *testing.T) {
 		t.Fatal("corrupted calibration loaded without error")
 	}
 	if !strings.Contains(err.Error(), "gate") {
-		t.Fatalf("want accuracy-gate error, got: %v", err)
+		t.Fatalf("want int8-gate error, got: %v", err)
 	}
 
 	// Structurally invalid scales are refused before any evaluation.

@@ -249,7 +249,7 @@ func (r *Registry) Transition(name string, to Stage, reason string) error {
 
 // PromoteStaged advances a name's staged generation one stage (shadow→
 // canary, canary→active) regardless of policy — the manual override
-// behind `noble-serve -promote` and POST /admin/lifecycle/{model}/promote.
+// behind POST /admin/lifecycle/{model}/promote.
 func (r *Registry) PromoteStaged(name, reason string) (to Stage, err error) {
 	err = r.apply(func(now time.Time) (evs []TransitionEvent, err error) {
 		to, evs, err = r.deps[name].promote(name, reason, now)
@@ -259,7 +259,7 @@ func (r *Registry) PromoteStaged(name, reason string) (to Stage, err error) {
 }
 
 // RollbackStaged retires a name's staged generation — the manual
-// override behind `noble-serve -rollback` and the admin endpoint.
+// override behind POST /admin/lifecycle/{model}/rollback.
 func (r *Registry) RollbackStaged(name, reason string) error {
 	return r.Transition(name, StageRetired, reason)
 }
@@ -460,8 +460,8 @@ func (r *Registry) Deployments() []DeploymentStatus {
 // FailedBundles returns the names of bundles whose latest on-disk
 // generation failed to load (sorted). A non-empty result means the
 // directory contains bundles the registry refused — the signal
-// `noble-serve -check-bundles` and the CI accuracy gate exit non-zero
-// on, and what the noble_registry_broken_bundles gauge counts.
+// `noble-serve -check-bundles` and the int8 gate (ci/int8-gate.sh) exit
+// non-zero on, and what the noble_registry_broken_bundles gauge counts.
 func (r *Registry) FailedBundles() []string {
 	out := []string{}
 	r.each(func(name string, d *deployment) {

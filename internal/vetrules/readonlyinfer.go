@@ -27,6 +27,11 @@ import (
 //     training mode at all): it must not write receiver fields, ever.
 //     Loss Forwards (pred, target) take two parameters and keep their
 //     Backward caches.
+//
+//  4. inferInPlace, the element-wise layers' inference transform that
+//     Sequential runs on a matrix it owns, may overwrite its argument
+//     but never a receiver field: it is a train=false Forward without
+//     the copy.
 var Readonlyinfer = &analysis.Analyzer{
 	Name: "readonlyinfer",
 	Doc: "inference paths are read-only: Forward(train=false) and Predict* methods must not " +
@@ -46,6 +51,8 @@ func runReadonlyinfer(pass *analysis.Pass) error {
 				checkForwardWrites(pass, decl)
 			case decl.Name.Name == "Forward" && paramCount(decl) == 1:
 				checkQuantForwardWrites(pass, decl)
+			case decl.Name.Name == "inferInPlace":
+				checkInPlaceWrites(pass, decl)
 			case len(decl.Name.Name) > len("Predict") && decl.Name.Name[:len("Predict")] == "Predict":
 				checkPredictWrites(pass, decl)
 			}
@@ -196,6 +203,18 @@ func checkQuantForwardWrites(pass *analysis.Pass, decl *ast.FuncDecl) {
 			"receiver write in single-parameter Forward: quantized inference layers have no "+
 				"training mode and run concurrently over shared weights — keep all scratch state "+
 				"in locals",
+		)
+	}
+}
+
+// checkInPlaceWrites handles inferInPlace: it writes the matrix it is
+// given, which Sequential allocated for this one pass, and nothing the
+// concurrent passes over the same layer share.
+func checkInPlaceWrites(pass *analysis.Pass, decl *ast.FuncDecl) {
+	for _, w := range receiverWrites(pass, decl) {
+		pass.Reportf(w.Pos(),
+			"receiver write in inferInPlace: it is an inference pass over a shared layer — "+
+				"write only the matrix it is given",
 		)
 	}
 }

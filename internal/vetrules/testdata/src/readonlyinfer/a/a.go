@@ -108,3 +108,26 @@ func (l *MSE) Forward(pred, target []float64) float64 {
 	}
 	return s
 }
+
+// Tanh's in-place inference transform overwrites its argument: allowed.
+type Tanh struct{}
+
+func (t *Tanh) inferInPlace(x []float64) {
+	for i, v := range x {
+		x[i] = v / (1 + v*v)
+	}
+}
+
+// Norm caches the inverse it computed on the receiver, which every
+// concurrent pass over the layer shares.
+type Norm struct {
+	scale float64
+	inv   []float64
+}
+
+func (n *Norm) inferInPlace(x []float64) {
+	n.inv = make([]float64, len(x)) // want `receiver write in inferInPlace`
+	for i := range x {
+		x[i] *= n.scale
+	}
+}
