@@ -28,7 +28,36 @@ cleanup() {
 }
 trap cleanup EXIT
 
-source "$(dirname "${BASH_SOURCE[0]}")/lib.sh"   # fail, wait_listening
+# fail prints the reason plus every log's tail — the bare exit code of a
+# dead server tells a CI reader nothing.
+fail() {
+    echo "FAIL: $1"
+    for log in "$work"/*.log; do
+        [ -f "$log" ] || continue
+        echo "---- tail of $log ----"
+        tail -n 40 "$log" | sed 's/^/   /'
+    done
+    exit 1
+}
+
+# wait_listening LOG blocks until the serve process logs its resolved
+# listen address (it binds port 0, so the kernel picks a free one — no
+# hard-coded port to collide with a parallel CI job) and the health
+# check answers; sets $addr.
+wait_listening() {
+    local log="$1"
+    addr=""
+    for _ in $(seq 1 240); do
+        # The server logs logfmt: `... level=INFO msg=listening addr=127.0.0.1:PORT`
+        addr=$(sed -n 's/.*msg=listening addr=\([^ ]*\).*/\1/p' "$log" | head -n1)
+        if [ -n "$addr" ] && curl -fsS "http://$addr/healthz" >/dev/null 2>&1; then
+            return 0
+        fi
+        kill -0 "$serve_pid" 2>/dev/null || fail "noble-serve exited during startup"
+        sleep 0.5
+    done
+    fail "server never became healthy"
+}
 
 echo "== building binaries into $bin"
 go build -o "$bin/" ./cmd/noble-serve ./cmd/noble-loadgen ./cmd/noble-replay

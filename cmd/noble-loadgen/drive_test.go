@@ -63,8 +63,8 @@ func TestDriveEveryModeClosedLoopAndPaced(t *testing.T) {
 					t.Fatal(err)
 				}
 				// A seed per run keeps the session ids apart on the shared
-				// server; -fix-every 4 is the cadence ci/retrain-gate.sh
-				// drives.
+				// server; -fix-every 4 is the retrain-loop tests' fix
+				// cadence.
 				d, err := Drive(context.Background(), ts.URL, Load{
 					Run: run, Concurrency: 3, Duration: 300 * time.Millisecond,
 					Seed: int64(len(name)*1000) + int64(qps), FixEvery: 4, QPS: qps,

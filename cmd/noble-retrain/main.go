@@ -25,63 +25,89 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 
 	"noble/internal/retrain"
 	"noble/internal/serve"
 )
 
-// The flag surface, pinned by the golden help test. The corpus location
-// (<state-dir>/retrain), retention and per-model cap are the retrain
-// package's, shared with noble-serve's in-process manager.
-var (
-	stateDir    = flag.String("state-dir", "", "session WAL directory to harvest; the corpus lives under it (required)")
-	models      = flag.String("models", "", "bundle directory to retrain into (required unless -harvest-only)")
-	modelFlag   = flag.String("model", "", "comma-separated wifi bundles to retrain (default: every retrainable bundle with corpus fixes)")
-	harvestOnly = flag.Bool("harvest-only", false, "harvest into the corpus and stop")
-	minFixes    = flag.Int("min-fixes", 1, "refuse to retrain a model with fewer corpus fixes than this")
-	target      = flag.String("target", "", "write a lifecycle.json sidecar with this promotion target (shadow, canary, or active; empty keeps the bundle's existing sidecar)")
-	polShadow   = flag.Int64("policy-min-shadow", 0, "sidecar policy: mirrored samples a shadow needs before canary (0 = registry default)")
-	polCanary   = flag.Int64("policy-min-canary", 0, "sidecar policy: canary evaluation window, in samples (0 = registry default)")
-	polErr      = flag.Float64("policy-max-error-delta", 0, "sidecar policy: max live error delta vs active, meters (0 = registry default)")
-	polP99      = flag.Float64("policy-max-p99-delta", 0, "sidecar policy: max p99 pass-latency delta, ms (0 = registry default)")
-)
+// options is the flag surface, pinned by the golden help test. The corpus
+// location (<state-dir>/retrain), retention and per-model cap are the
+// retrain package's, shared with noble-serve's in-process manager.
+type options struct {
+	stateDir, models, model, target string
+	harvestOnly                     bool
+	minFixes                        int
+	polShadow, polCanary            int64
+	polErr, polP99                  float64
+}
+
+// newFlagSet declares every flag on a fresh set, bound to o.
+func newFlagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("noble-retrain", flag.ExitOnError) // -h exits 0, a bad flag 2
+	fs.StringVar(&o.stateDir, "state-dir", "", "session WAL directory to harvest; the corpus lives under it (required)")
+	fs.StringVar(&o.models, "models", "", "bundle directory to retrain into (required unless -harvest-only)")
+	fs.StringVar(&o.model, "model", "", "comma-separated wifi bundles to retrain (default: every retrainable bundle with corpus fixes)")
+	fs.BoolVar(&o.harvestOnly, "harvest-only", false, "harvest into the corpus and stop")
+	fs.IntVar(&o.minFixes, "min-fixes", 1, "refuse to retrain a model with fewer corpus fixes than this")
+	fs.StringVar(&o.target, "target", "", "write a lifecycle.json sidecar with this promotion target (shadow, canary, or active; empty keeps the bundle's existing sidecar)")
+	fs.Int64Var(&o.polShadow, "policy-min-shadow", 0, "sidecar policy: mirrored samples a shadow needs before canary (0 = registry default)")
+	fs.Int64Var(&o.polCanary, "policy-min-canary", 0, "sidecar policy: canary evaluation window, in samples (0 = registry default)")
+	fs.Float64Var(&o.polErr, "policy-max-error-delta", 0, "sidecar policy: max live error delta vs active, meters (0 = registry default)")
+	fs.Float64Var(&o.polP99, "policy-max-p99-delta", 0, "sidecar policy: max p99 pass-latency delta, ms (0 = registry default)")
+	return fs
+}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("noble-retrain: ")
-	flag.Parse()
-
-	if *stateDir == "" {
-		log.Fatal("-state-dir is required")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
 	}
-	if *models == "" && !*harvestOnly {
-		log.Fatal("-models is required (or pass -harvest-only)")
+}
+
+// run is the whole command: parse args, harvest, then retrain each
+// target, printing one line per published bundle to stdout. Progress
+// goes to the log.
+func run(args []string, stdout io.Writer) error {
+	var o options
+	fs := newFlagSet(&o)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if o.stateDir == "" {
+		return errors.New("-state-dir is required")
+	}
+	if o.models == "" && !o.harvestOnly {
+		return errors.New("-models is required (or pass -harvest-only)")
 	}
 	var spec *serve.LifecycleSpec
-	switch *target {
+	switch o.target {
 	case "":
 	case "shadow", "canary", "active":
 		spec = &serve.LifecycleSpec{
-			Target: *target,
+			Target: o.target,
 			Policy: serve.LifecyclePolicy{
-				MinShadowRequests: *polShadow,
-				MinCanaryRequests: *polCanary,
-				MaxErrorDeltaM:    *polErr,
-				MaxP99DeltaMS:     *polP99,
+				MinShadowRequests: o.polShadow,
+				MinCanaryRequests: o.polCanary,
+				MaxErrorDeltaM:    o.polErr,
+				MaxP99DeltaMS:     o.polP99,
 			},
 		}
 	default:
-		log.Fatalf("unknown -target %q (want shadow, canary, or active)", *target)
+		return fmt.Errorf("unknown -target %q (want shadow, canary, or active)", o.target)
 	}
 
 	mgr := retrain.NewManager(retrain.ManagerConfig{
-		StateDir:  *stateDir,
-		ModelsDir: *models,
-		MinFixes:  *minFixes,
+		StateDir:  o.stateDir,
+		ModelsDir: o.models,
+		MinFixes:  o.minFixes,
 		Lifecycle: spec,
 		Logf:      log.Printf,
 	})
@@ -92,33 +118,34 @@ func main() {
 	// silently train on seed data alone.
 	stats, err := mgr.HarvestNow()
 	if err != nil {
-		log.Fatalf("harvest: %v", err)
+		return fmt.Errorf("harvest: %w", err)
 	}
 	log.Printf("harvest: %d sessions scanned, %d fixes visible, %d new, %d pruned, corpus now %d",
 		stats.Sessions, stats.Scanned, stats.Added, stats.Pruned, stats.Total)
 	if stats.Total == 0 {
-		log.Fatalf("corpus under %s is empty after harvest — no re-anchor fixes in its session WAL", *stateDir)
+		return fmt.Errorf("corpus under %s is empty after harvest — no re-anchor fixes in its session WAL", o.stateDir)
 	}
-	if *harvestOnly {
-		return
+	if o.harvestOnly {
+		return nil
 	}
 
 	// The bundles to retrain: the -model list, or every corpus model
 	// with a retrainable wifi bundle on disk.
 	targets := mgr.Targets()
-	if *modelFlag != "" {
-		targets = strings.Split(*modelFlag, ",")
+	if o.model != "" {
+		targets = strings.Split(o.model, ",")
 	}
 	if len(targets) == 0 {
-		log.Fatal("no retrainable wifi bundles with corpus fixes (pass -model to pick explicitly)")
+		return errors.New("no retrainable wifi bundles with corpus fixes (pass -model to pick explicitly)")
 	}
 	for _, model := range targets {
 		rec, err := mgr.RunOnce(model, "cli")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		res := rec.Result
-		fmt.Printf("retrained %s: %d seed + %d harvested samples, mean %.2f m, published to %s (awaiting promotion from shadow)\n",
+		fmt.Fprintf(stdout, "retrained %s: %d seed + %d harvested samples, mean %.2f m, published to %s (awaiting promotion from shadow)\n",
 			model, res.SeedSamples, res.UsedFixes, res.MeanErrM, res.BundlePath)
 	}
+	return nil
 }

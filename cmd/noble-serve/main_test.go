@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"io"
 	"log/slog"
@@ -243,5 +244,61 @@ func TestRunServesAndDrainsBeforeClosingJournal(t *testing.T) {
 	}
 	if steps != 1 {
 		t.Errorf("recovered dev-1 with %d committed step(s), want 1", steps)
+	}
+}
+
+// TestCheckBundlesRefusesCorruptedCalibration runs -check-bundles over
+// the tiny demo bundles, whose int8 twins passed the accuracy gate when
+// they were published. It passes; after demo-wifi-int8's act_scales are
+// multiplied by 1e6 the load-time recheck refuses that bundle by name;
+// restoring the file passes again.
+func TestCheckBundlesRefusesCorruptedCalibration(t *testing.T) {
+	models := t.TempDir()
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	check := func(args ...string) error {
+		t.Helper()
+		cfg, err := parseConfig(append([]string{"-models", models, "-check-bundles"}, args...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run(context.Background(), cfg, logger, nil)
+	}
+	if err := check("-demo-tiny"); err != nil {
+		t.Fatalf("fresh demo bundles: %v", err)
+	}
+
+	path := filepath.Join(models, "demo-wifi-int8", "calibration.json")
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Edit the JSON generically, as a hand edit or a foreign tool would.
+	var doc map[string]any
+	if err := json.Unmarshal(good, &doc); err != nil {
+		t.Fatal(err)
+	}
+	scales, _ := doc["act_scales"].([]any)
+	if len(scales) == 0 {
+		t.Fatalf("%s has no act_scales", path)
+	}
+	for i, v := range scales {
+		scales[i] = v.(float64) * 1e6
+	}
+	bad, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := check(); err == nil || !strings.Contains(err.Error(), "demo-wifi-int8") {
+		t.Fatalf("corrupted act_scales: %v, want a failure naming demo-wifi-int8", err)
+	}
+
+	if err := os.WriteFile(path, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := check(); err != nil {
+		t.Fatalf("restored calibration: %v", err)
 	}
 }

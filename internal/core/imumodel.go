@@ -435,12 +435,6 @@ func (m *IMUModel) SegmentDim() int { return m.segDim }
 // Classes returns the location-head class count.
 func (m *IMUModel) Classes() int { return m.Grid.Classes() }
 
-// DisplacementScale reports the fitted target standardization (for
-// diagnostics).
-func (m *IMUModel) DisplacementScale() (mean, std [2]float64) {
-	return m.dispMean, m.dispStd
-}
-
 // Save persists the model weights and batch-norm statistics.
 func (m *IMUModel) Save(w io.Writer) error { return nn.SaveParams(w, m.stateParams()) }
 

@@ -28,11 +28,6 @@ var stageBounds = []float64{
 // need a constant, so the pairing is asserted in the package tests.
 const numStageBuckets = 16
 
-// StageBounds returns the histogram upper bounds in seconds (the final
-// +Inf bucket is implicit). Consumers diffing StageSnapshot bucket
-// counts (the benchmark rig) use these to approximate quantiles.
-func StageBounds() []float64 { return append([]float64(nil), stageBounds...) }
-
 // stageHist is one stage's latency aggregate. Everything on the record
 // path is atomic — Finish never takes a lock to update histograms; the
 // mutex only guards the exemplar trace ID, taken when a new maximum is
@@ -364,10 +359,10 @@ func (t *Tracer) logSlow(d TraceDump) {
 	lg.Warn("slow request", attrs...)
 }
 
-// StageStats is one stage's aggregate, as data: the benchmark rig diffs
-// two snapshots around a measured pass to attribute scenario latency to
-// pipeline stages. Buckets aligns with StageBounds() plus a final +Inf
-// slot, raw (non-cumulative) counts.
+// StageStats is one stage's aggregate, as data: the benchmark diffs two
+// snapshots around a measured slice to attribute its latency to pipeline
+// stages. Buckets holds raw (non-cumulative) counts, one per stage
+// histogram bound plus a final +Inf slot.
 type StageStats struct {
 	Count      int64
 	SumSeconds float64

@@ -14,8 +14,9 @@ import (
 
 // Fuzz targets for the two bundle files the registry parses but did not
 // write, and for the NDJSON tracking stream, the one request body read
-// line by line. Seeds: what ci/publishgen and WriteBundle emit, plus the
-// shapes the negative tests use; more under testdata/fuzz.
+// line by line. Seeds: the sidecars the lifecycle tests publish, what
+// WriteBundle emits, plus the shapes the negative tests use; more under
+// testdata/fuzz.
 
 // FuzzReadLifecycleSpec: arbitrary lifecycle.json bytes never panic,
 // and an accepted spec names a reachable target stage and yields an

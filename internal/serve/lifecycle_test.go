@@ -96,10 +96,14 @@ func TestPromotionRacingReload(t *testing.T) {
 
 	// Publish gen3 (the original weights again, new stamp), let the
 	// poller stage it, then roll it back mid-poll.
+	// A poll that lands between the publish's renames and mtime bumps
+	// stages an intermediate generation, which the next poll supersedes:
+	// wait for the bundle as finally written.
 	publishWiFiGen(t, dir, "m", wifiModel, wifiCfg, 4*time.Second)
+	stamp, _ := stampBundle(filepath.Join(dir, "m"))
 	deadline := time.After(5 * time.Second)
 	for {
-		if st, ok := reg.Staged("m"); ok && st.Generation == 3 {
+		if st, ok := reg.Staged("m"); ok && st.BundleID == bundleIDFor(stamp) {
 			break
 		}
 		select {

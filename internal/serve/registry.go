@@ -460,8 +460,9 @@ func (r *Registry) Deployments() []DeploymentStatus {
 // FailedBundles returns the names of bundles whose latest on-disk
 // generation failed to load (sorted). A non-empty result means the
 // directory contains bundles the registry refused — the signal
-// `noble-serve -check-bundles` and the int8 gate (ci/int8-gate.sh) exit
-// non-zero on, and what the noble_registry_broken_bundles gauge counts.
+// `noble-serve -check-bundles` exits non-zero on (pinned by its
+// TestCheckBundlesRefusesCorruptedCalibration), and what the
+// noble_registry_broken_bundles gauge counts.
 func (r *Registry) FailedBundles() []string {
 	out := []string{}
 	r.each(func(name string, d *deployment) {
