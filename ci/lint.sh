@@ -10,6 +10,10 @@
 #                paths (internal/mat: GEMM tiles, row sweep, packed
 #                panels, int8 tile) keep building where no CI job runs
 #                them
+#   darwin, windows  cross-compile the tree and vet internal/serve for
+#                both, so the batcher's runtime-timer fallback of the
+#                Linux timerfd gap timer keeps building (windows leaves
+#                out bench, which reads CPU time with getrusage)
 #   noble-vet    the repo's own invariant suite (internal/vetrules) —
 #                must be clean on the tree AND must still refuse the
 #                three reconstructed historical bugs, so a broken
@@ -46,6 +50,12 @@ go vet ./... || fail=1
 echo "== arm64 cross-compile (non-amd64 kernel fallbacks)"
 GOARCH=arm64 go build ./... || fail=1
 GOARCH=arm64 go vet ./internal/mat ./internal/nn || fail=1
+
+echo "== darwin and windows cross-compile (non-Linux gap timer)"
+GOOS=darwin go build ./... || fail=1
+GOOS=darwin go vet ./internal/serve || fail=1
+GOOS=windows go build $(GOOS=windows go list ./... | grep -v '^noble/bench$') || fail=1
+GOOS=windows go vet ./internal/serve || fail=1
 
 echo "== noble-vet (internal/vetrules invariant suite)"
 mkdir -p build

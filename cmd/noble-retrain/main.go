@@ -19,9 +19,11 @@
 // reads the drift evidence straight from its registry.
 //
 // The WAL scan is read-only, so a run is safe against the live server
-// that owns the journal. Retrained bundles NEVER serve
-// directly: publishing is the only write this tool performs against
-// the deployment, and promotion stays with the lifecycle controller.
+// that owns the journal. Retrained bundles NEVER serve directly:
+// publishing is the only write this tool performs against the
+// deployment, every publish rewrites the bundle's lifecycle.json with
+// immediate off (keeping its target and policy unless -target replaces
+// them), and promotion stays with the lifecycle controller.
 package main
 
 import (
@@ -56,7 +58,7 @@ func newFlagSet(o *options) *flag.FlagSet {
 	fs.StringVar(&o.model, "model", "", "comma-separated wifi bundles to retrain (default: every retrainable bundle with corpus fixes)")
 	fs.BoolVar(&o.harvestOnly, "harvest-only", false, "harvest into the corpus and stop")
 	fs.IntVar(&o.minFixes, "min-fixes", 1, "refuse to retrain a model with fewer corpus fixes than this")
-	fs.StringVar(&o.target, "target", "", "write a lifecycle.json sidecar with this promotion target (shadow, canary, or active; empty keeps the bundle's existing sidecar)")
+	fs.StringVar(&o.target, "target", "", "write a lifecycle.json sidecar with this promotion target (shadow, canary, or active; empty keeps the bundle's own target and policy)")
 	fs.Int64Var(&o.polShadow, "policy-min-shadow", 0, "sidecar policy: mirrored samples a shadow needs before canary (0 = registry default)")
 	fs.Int64Var(&o.polCanary, "policy-min-canary", 0, "sidecar policy: canary evaluation window, in samples (0 = registry default)")
 	fs.Float64Var(&o.polErr, "policy-max-error-delta", 0, "sidecar policy: max live error delta vs active, meters (0 = registry default)")

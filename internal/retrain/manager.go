@@ -46,8 +46,9 @@ type ManagerConfig struct {
 	// if Trigger is set): noble-serve snapshots its registry.
 	Samples func() []Sample
 
-	// Lifecycle, when set, is written as the republished bundle's
-	// lifecycle.json sidecar; nil keeps the bundle's existing policy.
+	// Lifecycle, when set, supplies the republished bundle's sidecar
+	// target and policy; nil keeps the bundle's own. A retrain never
+	// publishes an immediate swap (see RunOptions.Lifecycle).
 	Lifecycle *serve.LifecycleSpec
 
 	// Reload, when set, is poked after a successful publish so a

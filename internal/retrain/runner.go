@@ -34,12 +34,12 @@ type RunOptions struct {
 	Corpus *Corpus
 	// MinFixes refuses to retrain below this corpus size (default 1).
 	MinFixes int
-	// Lifecycle, when set, replaces the bundle's lifecycle.json sidecar
-	// on publish; nil leaves whatever sidecar the bundle already
-	// declares (or the default full-auto pipeline). Either way the new
-	// generation enters SHADOW and must earn promotion — Immediate is
-	// ignored on retrain publishes, exactly because nobody validated
-	// these weights yet.
+	// Lifecycle, when set, supplies the Target and Policy of the
+	// republished bundle's lifecycle.json sidecar; nil keeps the ones the
+	// bundle already declares (or the default full-auto pipeline).
+	// Either way the publish writes the sidecar with Immediate false, so
+	// the new generation enters SHADOW and must earn promotion: nobody
+	// has validated these weights yet.
 	Lifecycle *serve.LifecycleSpec
 	// Logf receives progress lines (nil discards).
 	Logf func(format string, args ...any)
@@ -84,6 +84,17 @@ func Run(o RunOptions) (*RunResult, error) {
 		return nil, fmt.Errorf("bundle %s is kind %q without a generation spec; only synthetic wifi bundles can be retrained", o.Model, man.Kind)
 	}
 
+	// The sidecar this publish writes: never Immediate, whatever the
+	// bundle or the caller declared.
+	lifecycle, err := serve.ReadLifecycleSpec(filepath.Join(o.ModelsDir, o.Model))
+	if err != nil {
+		return nil, err
+	}
+	if o.Lifecycle != nil {
+		lifecycle = *o.Lifecycle
+	}
+	lifecycle.Immediate = false
+
 	ds, err := man.WiFi.BuildWiFiDataset()
 	if err != nil {
 		return nil, fmt.Errorf("rebuilding seed survey: %w", err)
@@ -108,7 +119,7 @@ func Run(o RunOptions) (*RunResult, error) {
 		Extra:      extra,
 		BundleDir:  o.ModelsDir,
 		BundleName: o.Model,
-		Lifecycle:  o.Lifecycle,
+		Lifecycle:  &lifecycle,
 		Printf: func(format string, args ...any) {
 			logf("retrain %s: %s", o.Model, strings.TrimSuffix(fmt.Sprintf(format, args...), "\n"))
 		},

@@ -65,7 +65,38 @@ func corpusFromSurvey(t *testing.T, dir, model string, ds *dataset.WiFi, n int) 
 func TestRetrainLandsInShadow(t *testing.T) {
 	modelsDir := t.TempDir()
 	ds := publishTinyWiFiBundle(t, modelsDir, "wifi-test")
+	retrainLandsInShadow(t, modelsDir, ds)
+}
 
+// TestRetrainIgnoresImmediateSidecar: a bundle whose lifecycle.json says
+// "immediate" swaps its own publishes straight to active, but a retrain
+// of it (here with no RunOptions.Lifecycle, as noble-serve's in-process
+// manager runs it) must still land in shadow. The republished sidecar
+// keeps the bundle's target and policy and drops the immediate flag.
+func TestRetrainIgnoresImmediateSidecar(t *testing.T) {
+	modelsDir := t.TempDir()
+	ds := publishTinyWiFiBundle(t, modelsDir, "wifi-test")
+	bundle := filepath.Join(modelsDir, "wifi-test")
+	sidecar := `{"target": "canary", "immediate": true, "policy": {"min_shadow_requests": 40, "max_error_delta_m": 0.5}}`
+	if err := os.WriteFile(filepath.Join(bundle, "lifecycle.json"), []byte(sidecar), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	retrainLandsInShadow(t, modelsDir, ds)
+	spec, err := serve.ReadLifecycleSpec(bundle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Immediate || spec.Target != "canary" || spec.Policy.MinShadowRequests != 40 || spec.Policy.MaxErrorDeltaM != 0.5 {
+		t.Fatalf("republished sidecar %+v, want the bundle's target and policy without immediate", spec)
+	}
+}
+
+// retrainLandsInShadow loads the bundle "wifi-test" in modelsDir as
+// generation 1, retrains it on ten corpus fixes without a Lifecycle
+// override, reloads, and checks the active generation is untouched and
+// the retrain waits in shadow as generation 2.
+func retrainLandsInShadow(t *testing.T, modelsDir string, ds *dataset.WiFi) {
+	t.Helper()
 	reg := serve.NewRegistry(modelsDir, t.Logf)
 	if loaded, _, err := reg.Reload(); err != nil || loaded != 1 {
 		t.Fatalf("initial reload: loaded=%d err=%v", loaded, err)

@@ -56,6 +56,7 @@ type Batcher[R, P any] struct {
 	kind    string // metrics label ("localize", "track")
 	predict PredictFunc[R, P]
 	metrics *Metrics
+	newGap  func() gapTimer // makes a dispatcher's gap timer
 
 	mu     sync.Mutex
 	queues map[string]*batchQueue[R, P]
@@ -117,6 +118,7 @@ func NewBatcher[R, P any](kind string, window time.Duration, maxBatch int, predi
 		kind:     kind,
 		predict:  predict,
 		metrics:  metrics,
+		newGap:   newGapTimer,
 		queues:   make(map[string]*batchQueue[R, P]),
 	}
 }
@@ -175,20 +177,24 @@ func (b *Batcher[R, P]) Submit(ctx context.Context, model string, rows []R) ([]P
 // jobs queued as the model's cohort (see batchQueue.cohort), i.e. all
 // the company recent traffic says to expect is aboard; a pause in the
 // arrival stream longer than the grace threshold, a small fraction of
-// Window; Window since the stage began. The two timers are the fallback
-// for traffic whose concurrency the count cannot pin down, and they cost
-// what the runtime charges, not what they ask for: an idle Go runtime
-// rounds a sub-millisecond timer up to about 1 ms (a lone Submit over a
-// no-op predict, bench's serve.batcher.noop_submit_us, took 1,119 us
-// against the 62 us gap before the cohort exit existed and 1.9 us with
-// it: docs/measurements/pr17-batcher-cohort.md), so a pass that leaves by
-// "gap" on an otherwise idle process has waited about a millisecond.
-// The cohort only ever adds an earlier exit: when it is stale or
-// inflated the pass falls back to the timers, never to a smaller batch
-// than they would have formed.
+// Window; Window since the stage began. The last two are one deadline,
+// min(last arrival + grace, stage start + Window), kept by one gap timer
+// (gapTimer): an arrival only records its time, and a fire counts only
+// once the deadline has passed — an early one re-arms for the remainder.
+// On Linux the timer is a timerfd the runtime's poller watches, so a
+// "gap" exit costs the grace plus the kernel's timer slack: a lone
+// Submit that leaves by "gap" under a 2 ms Window (62.5 us grace) takes
+// about 0.08 ms at p50 (TestBatcherGapExitIsPrompt). The runtime timer
+// it replaced, still the fallback elsewhere, rounds a sub-millisecond
+// wait up to about 1 ms on an idle process (1.1 ms there). The timer
+// is made by the first pass that waits and closed when the dispatcher
+// retires; a pass that fires by "full" or "cohort" without waiting
+// makes no system call. The cohort only ever adds an earlier exit: when
+// it is stale or inflated the pass falls back to the timer, never to a
+// smaller batch than it would have formed.
 func (b *Batcher[R, P]) dispatch(model string, q *batchQueue[R, P]) {
-	timer := time.NewTimer(b.Window)
-	defer timer.Stop()
+	idleTimer := time.NewTimer(b.Window)
+	defer idleTimer.Stop()
 	// The gap threshold needs to exceed the per-request ingest time (so a
 	// streaming cohort is not split) while staying far below the pass
 	// compute time (so the tail wait is cheap); a small fraction of the
@@ -197,12 +203,19 @@ func (b *Batcher[R, P]) dispatch(model string, q *batchQueue[R, P]) {
 	if grace < 40*time.Microsecond {
 		grace = 40 * time.Microsecond
 	}
-	graceTimer := time.NewTimer(grace)
-	defer graceTimer.Stop()
+	var (
+		gap   gapTimer  // made by the first pass that waits
+		armed time.Time // when gap fires next; zero once that fire is taken
+	)
+	defer func() {
+		if gap != nil {
+			gap.close()
+		}
+	}()
 	for {
 		// Idle stage: wait for the first job of the next pass. A full
 		// Window of silence retires the dispatcher.
-		resetTimer(timer, b.Window)
+		idleTimer.Reset(b.Window)
 		idle := false
 		for !idle {
 			b.mu.Lock()
@@ -213,7 +226,7 @@ func (b *Batcher[R, P]) dispatch(model string, q *batchQueue[R, P]) {
 			}
 			select {
 			case <-q.notify:
-			case <-timer.C:
+			case <-idleTimer.C:
 				idle = true
 			}
 		}
@@ -223,9 +236,8 @@ func (b *Batcher[R, P]) dispatch(model string, q *batchQueue[R, P]) {
 		if !idle {
 			// Fill stage: accumulate until the pass is full, the cohort is
 			// aboard, the arrival stream pauses or Window runs out.
-			resetTimer(timer, b.Window)
-			resetTimer(graceTimer, grace)
-		fill:
+			start := time.Now()
+			last := start
 			for {
 				b.mu.Lock()
 				rows, aboard := q.rows, len(q.jobs) >= q.cohort()
@@ -238,14 +250,29 @@ func (b *Batcher[R, P]) dispatch(model string, q *batchQueue[R, P]) {
 					reason = fireCohort
 					break
 				}
+				deadline, why := last.Add(grace), fireGap
+				if end := start.Add(b.Window); end.Before(deadline) {
+					deadline, why = end, fireWindow
+				}
+				wait := time.Until(deadline)
+				if wait <= 0 {
+					reason = why
+					break
+				}
+				if gap == nil {
+					gap = b.newGap()
+				}
+				// A pending fire at or before the deadline will do: it
+				// re-arms when it comes. A later one must be brought forward.
+				if armed.IsZero() || armed.After(deadline) {
+					gap.arm(wait)
+					armed = deadline
+				}
 				select {
 				case <-q.notify:
-					resetTimer(graceTimer, grace)
-				case <-graceTimer.C:
-					reason = fireGap
-					break fill
-				case <-timer.C:
-					break fill
+					last = time.Now()
+				case <-gap.fired():
+					armed = time.Time{}
 				}
 			}
 		}
@@ -301,20 +328,6 @@ func (b *Batcher[R, P]) dispatch(model string, q *batchQueue[R, P]) {
 			b.flush(model, q, take)
 		}
 	}
-}
-
-// resetTimer restarts a (possibly fired, possibly drained) timer. The
-// stop-drain-reset sequence is only race-free under the synchronous
-// timer semantics of go >= 1.23 (declared in go.mod): pre-1.23 async
-// timers could deliver a stale fire after the drain.
-func resetTimer(t *time.Timer, d time.Duration) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	t.Reset(d)
 }
 
 // flush runs one forward pass for the coalesced jobs and fans results

@@ -168,10 +168,16 @@ func burst(t *testing.T, b *Batcher[int, int], n int) {
 
 // TestBatcherLoneCallerNeverWaits: a closed-loop caller is a cohort of
 // one, so each of its passes fires on its own arrival instead of sitting
-// out the arrival-gap timer (31 ms here; 50 of them would take 1.5 s).
+// out the arrival-gap timer (31 ms here; 50 of them would take 1.5 s),
+// and its dispatcher never makes a gap timer at all.
 func TestBatcherLoneCallerNeverWaits(t *testing.T) {
 	m := NewMetrics()
 	b := NewBatcher("t", time.Second, 64, double, m)
+	var timers atomic.Int32
+	b.newGap = func() gapTimer {
+		timers.Add(1)
+		return newGapTimer()
+	}
 	start := time.Now()
 	for i := 0; i < 50; i++ {
 		if got, err := b.Submit(context.Background(), "m", []int{i}); err != nil || got[0] != 2*i {
@@ -183,6 +189,9 @@ func TestBatcherLoneCallerNeverWaits(t *testing.T) {
 	}
 	if f := fires(m, "t"); f[fireCohort] != 50 || f[fireGap]+f[fireWindow]+f[fireFull] != 0 {
 		t.Fatalf("fires %v, want 50 by cohort", f)
+	}
+	if n := timers.Load(); n != 0 {
+		t.Fatalf("%d gap timers made for passes that never wait", n)
 	}
 }
 
@@ -443,4 +452,93 @@ func TestBatcherErrorFansOut(t *testing.T) {
 			t.Fatalf("job %d: err %v, want boom", i, err)
 		}
 	}
+}
+
+// fakeGap is a gap timer a test can fire early: arm schedules a real
+// fire d later, and a send on c delivers one now.
+type fakeGap struct {
+	c    chan time.Time
+	t    *time.Timer
+	arms atomic.Int32
+}
+
+func newFakeGap() *fakeGap {
+	g := &fakeGap{c: make(chan time.Time, 1)}
+	g.t = time.AfterFunc(time.Hour, func() {
+		select {
+		case g.c <- time.Now():
+		default:
+		}
+	})
+	g.t.Stop()
+	return g
+}
+
+func (g *fakeGap) fired() <-chan time.Time { return g.c }
+func (g *fakeGap) arm(d time.Duration)     { g.arms.Add(1); g.t.Reset(d) }
+func (g *fakeGap) close()                  { g.t.Stop() }
+
+// TestBatcherEarlyGapFireWaits: a fire that comes before the fill
+// stage's deadline (a stale one from an earlier pass, or an overtaken
+// arm) re-arms for the remainder instead of firing the pass.
+func TestBatcherEarlyGapFireWaits(t *testing.T) {
+	const window = 3200 * time.Millisecond // grace 100 ms
+	m := NewMetrics()
+	b := NewBatcher("t", window, 64, double, m)
+	gap := newFakeGap()
+	b.newGap = func() gapTimer { return gap }
+	burst(t, b, 4) // a cohort of 4: a lone job waits for the gap
+
+	before, arms := fires(m, "t"), gap.arms.Load()
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		_, err := b.Submit(context.Background(), "m", []int{1})
+		done <- err
+	}()
+	eventually(t, "the lone job's pass to arm the gap timer", func() bool { return gap.arms.Load() > arms })
+	gap.c <- time.Now()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed < window/32 {
+		t.Fatalf("the pass fired after %v, before its %v grace ran out", elapsed, window/32)
+	}
+	if n := gap.arms.Load() - arms; n < 2 {
+		t.Fatalf("the timer was armed %d time(s) for the pass, want a re-arm after the early fire", n)
+	}
+	if after := fires(m, "t"); after[fireGap] != before[fireGap]+1 {
+		t.Fatalf("fires %v -> %v, want the lone job fired by gap", before, after)
+	}
+}
+
+// loneGapSubmits sends n sequential single-row Submits under an inflated
+// cohort, checks each fires its pass by gap with the right answer, and
+// returns how long each took.
+func loneGapSubmits(t *testing.T, b *Batcher[int, int], m *Metrics, n int) []time.Duration {
+	t.Helper()
+	burst(t, b, 8)
+	before := fires(m, "t")
+	took := make([]time.Duration, n)
+	for i := range took {
+		start := time.Now()
+		if got, err := b.Submit(context.Background(), "m", []int{i}); err != nil || got[0] != 2*i {
+			t.Fatalf("submit %d: got %v, %v", i, got, err)
+		}
+		took[i] = time.Since(start)
+	}
+	if after := fires(m, "t"); after[fireGap]-before[fireGap] != int64(n) {
+		t.Fatalf("fires %v -> %v, want %d more by gap", before, after, n)
+	}
+	return took
+}
+
+// TestBatcherGapRuntimeTimerFallback: a dispatcher on the runtime timer
+// (every platform without timerfd, and Linux when timerfd_create fails)
+// still leaves by gap and answers every request.
+func TestBatcherGapRuntimeTimerFallback(t *testing.T) {
+	m := NewMetrics()
+	b := NewBatcher("t", 2*time.Millisecond, 64, double, m)
+	b.newGap = newRuntimeGap
+	loneGapSubmits(t, b, m, 20)
 }

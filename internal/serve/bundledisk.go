@@ -75,9 +75,9 @@ type LifecycleSpec struct {
 // lifecycleFile is the per-bundle sidecar filename.
 const lifecycleFile = "lifecycle.json"
 
-// readLifecycleSpec loads a bundle's lifecycle sidecar; a missing file
-// means the default full-auto pipeline.
-func readLifecycleSpec(dir string) (LifecycleSpec, error) {
+// ReadLifecycleSpec loads the lifecycle sidecar of the bundle in dir; a
+// missing file means the default full-auto pipeline.
+func ReadLifecycleSpec(dir string) (LifecycleSpec, error) {
 	spec := LifecycleSpec{Target: string(StageActive)}
 	raw, err := os.ReadFile(filepath.Join(dir, lifecycleFile))
 	if os.IsNotExist(err) {
@@ -203,7 +203,7 @@ func (r *Registry) Reload() (loaded, removed int, err error) {
 		model, lerr := LoadBundle(dir)
 		var spec LifecycleSpec
 		if lerr == nil {
-			if spec, lerr = readLifecycleSpec(dir); lerr != nil {
+			if spec, lerr = ReadLifecycleSpec(dir); lerr != nil {
 				lerr = fmt.Errorf("serve: bundle %s: %w", name, lerr)
 			}
 		}

@@ -40,7 +40,7 @@ func FuzzReadLifecycleSpec(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, lifecycleFile), raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		spec, err := readLifecycleSpec(dir)
+		spec, err := ReadLifecycleSpec(dir)
 		if err != nil {
 			return
 		}
