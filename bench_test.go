@@ -8,8 +8,9 @@ import (
 )
 
 // benchExperiment runs one paper experiment per benchmark iteration at the
-// Small preset (the Full preset's numbers are recorded in EXPERIMENTS.md
-// via cmd/noble-bench). Reported ns/op is the wall time of a complete
+// Small preset (cmd/noble-bench runs the Full preset, whose numbers are
+// not recorded in the repo yet; ROADMAP direction 1(b) records them).
+// Reported ns/op is the wall time of a complete
 // dataset-generation + training + evaluation cycle for that table/figure.
 func benchExperiment(b *testing.B, run func(experiments.Preset) *experiments.Report) {
 	b.Helper()

@@ -5,11 +5,10 @@
 // A Client speaks the /v2 wire protocol — structured error envelopes
 // with machine-readable codes (surfaced as *APIError), server-assigned
 // request IDs, per-request deadlines derived from the context, NDJSON
-// streaming tracking — and transparently falls back to /v1 against
-// older servers (everything except streaming works there too). Failed
-// requests are retried with exponential backoff on connection errors
-// and 5xx responses, except session appends, which are not idempotent
-// and therefore never retried automatically.
+// streaming tracking. Failed requests are retried with exponential
+// backoff on connection errors and 5xx responses, except session
+// appends, which are not idempotent and therefore never retried
+// automatically.
 //
 //	c := client.New("http://localhost:8080")
 //	positions, err := c.Localize(ctx, "demo-wifi", fingerprint)
@@ -24,16 +23,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
-)
-
-// Protocol states: which API generation the server speaks, learned
-// lazily from the first /v2 call.
-const (
-	protoUnknown int32 = iota
-	protoV2
-	protoV1
 )
 
 // Client calls one noble-serve instance. It is safe for concurrent use;
@@ -43,7 +33,6 @@ type Client struct {
 	hc      *http.Client
 	retries int           // extra attempts after the first
 	backoff time.Duration // base delay, doubled per retry
-	proto   atomic.Int32
 
 	wantFast bool
 	fast     *fastTransport // non-nil with WithFastTransport on an http URL
@@ -72,9 +61,9 @@ type RequestHook func(RequestObservation)
 // WithRequestHook installs a per-request observer: load generators and
 // the benchmark rig collect wire-level latency and status series here
 // without wrapping every call site. The hook sees one observation per
-// attempt (a retried request observes once per try; a /v2→/v1 downgrade
-// replay is folded into its triggering attempt). Streaming connections
-// (TrackStream) bypass the hook — they are not request/response.
+// attempt (a retried request observes once per try). Streaming
+// connections (TrackStream) bypass the hook — they are not
+// request/response.
 func WithRequestHook(h RequestHook) Option { return func(c *Client) { c.hook = h } }
 
 // Option configures a Client.
@@ -90,10 +79,6 @@ func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc
 func WithRetries(n int, base time.Duration) Option {
 	return func(c *Client) { c.retries, c.backoff = n, base }
 }
-
-// WithV1 pins the client to the /v1 protocol (no /v2 probe). Mostly for
-// tests and very old servers.
-func WithV1() Option { return func(c *Client) { c.proto.Store(protoV1) } }
 
 // New builds a client for the server at baseURL (e.g.
 // "http://localhost:8080"). Defaults: a dedicated transport with ample
@@ -127,21 +112,6 @@ func New(baseURL string, opts ...Option) *Client {
 // BaseURL returns the server this client talks to.
 func (c *Client) BaseURL() string { return c.base }
 
-// speaksV1 reports whether the client has fallen back to /v1.
-func (c *Client) speaksV1() bool { return c.proto.Load() == protoV1 }
-
-// versioned maps an unversioned endpoint ("/localize") onto the wire
-// path for the protocol currently in use.
-func (c *Client) versioned(endpoint string) string {
-	if c.speaksV1() {
-		if endpoint == "/health" {
-			return "/healthz" // /v1 never versioned its health check
-		}
-		return "/v1" + endpoint
-	}
-	return "/v2" + endpoint
-}
-
 // retryable reports whether a failed attempt may be re-sent: any
 // transport error (the request may never have reached the server), or
 // a 5xx answer, which for the pure inference endpoints is safe to
@@ -151,8 +121,8 @@ func retryable(status int, err error) bool {
 	return err != nil || status >= 500
 }
 
-// do runs one JSON exchange against endpoint with retries and protocol
-// fallback, decoding the 2xx response body into out (unless out is nil).
+// do runs one JSON exchange against endpoint with retries, decoding the
+// 2xx response body into out (unless out is nil).
 func (c *Client) do(ctx context.Context, method, endpoint string, body []byte, out any) error {
 	attempts := 1 + c.retries
 	var lastErr error
@@ -187,22 +157,14 @@ func (c *Client) do(ctx context.Context, method, endpoint string, body []byte, o
 	return lastErr
 }
 
-// roundTrip sends one attempt, handling the v2→v1 downgrade: a 404
-// whose body is not a JSON error (the mux's plain "404 page not found")
-// means the route family does not exist, so the client pins /v1 and
-// replays the attempt there.
+// roundTrip sends one attempt of an unversioned endpoint ("/localize")
+// to its /v2 path.
 func (c *Client) roundTrip(ctx context.Context, method, endpoint string, body []byte) (int, []byte, error) {
 	var t0 time.Time
 	if c.hook != nil {
 		t0 = time.Now()
 	}
-	status, raw, err := c.send(ctx, method, c.versioned(endpoint), body)
-	if err == nil && status == http.StatusNotFound && !c.speaksV1() && !isJSONError(raw) {
-		c.proto.Store(protoV1)
-		status, raw, err = c.send(ctx, method, c.versioned(endpoint), body)
-	} else if err == nil && !c.speaksV1() {
-		c.proto.Store(protoV2)
-	}
+	status, raw, err := c.send(ctx, method, "/v2"+endpoint, body)
 	if c.hook != nil {
 		c.hook(RequestObservation{
 			Method:   method,
@@ -249,7 +211,7 @@ func (c *Client) sendHTTP(ctx context.Context, method, path string, body []byte)
 	}
 	// Propagate the context deadline to the server so an expired
 	// request is dropped from the batch queue instead of computed for
-	// a caller that stopped listening. (/v1 servers ignore the header.)
+	// a caller that stopped listening.
 	if ms, ok := deadlineMs(ctx); ok {
 		req.Header.Set("X-Deadline-Ms", strconv.FormatInt(ms, 10))
 	}

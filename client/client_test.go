@@ -79,50 +79,74 @@ func newServer(t *testing.T, window time.Duration) *httptest.Server {
 	return ts
 }
 
-// v1Only wraps a server so every /v2 route 404s like a pre-/v2 build.
-func v1Only(t *testing.T, ts *httptest.Server) *httptest.Server {
+// withoutV2 is a server that routes no /v2 path — a build older than
+// /v2, or a proxy that hides it: every request gets the plain-text 404.
+// paths reports what it was asked for. Full-duplex mode lets the 404
+// go out before an open-ended stream body is read to its end.
+func withoutV2(t *testing.T) (url string, paths func() []string) {
 	t.Helper()
-	inner := ts.Config.Handler
-	v1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/v2/") {
-			http.NotFound(w, r)
-			return
-		}
-		inner.ServeHTTP(w, r)
+	var (
+		mu   sync.Mutex
+		seen []string
+	)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen = append(seen, r.URL.Path)
+		mu.Unlock()
+		http.NewResponseController(w).EnableFullDuplex()
+		http.NotFound(w, r)
 	}))
-	t.Cleanup(v1.Close)
-	return v1
+	t.Cleanup(ts.Close)
+	return ts.URL, func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), seen...)
+	}
 }
 
+// The client speaks /v2 only: against a /v2 server every call works,
+// and a server without /v2 gets one request per call and answers it
+// with a 404 the client surfaces — the client no longer falls back to
+// /v1.
 func TestLocalizeAgainstV2AndV1(t *testing.T) {
-	ts := newServer(t, 0)
-	for name, url := range map[string]string{"v2": ts.URL, "v1-fallback": v1Only(t, ts).URL} {
-		t.Run(name, func(t *testing.T) {
-			c := client.New(url)
-			got, err := c.Localize(context.Background(), "wifi", wifiDS.Test[0].Features, wifiDS.Test[1].Features)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("v2", func(t *testing.T) {
+		c := client.New(newServer(t, 0).URL)
+		got, err := c.Localize(context.Background(), "wifi", wifiDS.Test[0].Features, wifiDS.Test[1].Features)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 2 {
+			t.Fatalf("%d results", len(got))
+		}
+		for i, smp := range []int{0, 1} {
+			want := wifiModel.Predict(wifiDS.Test[smp].Features)
+			if got[i].X != want.Pos.X || got[i].Y != want.Pos.Y || got[i].Class != want.Class ||
+				got[i].Building != want.Building || got[i].Floor != want.Floor {
+				t.Fatalf("result %d: %+v, model predicts %+v", i, got[i], want)
 			}
-			if len(got) != 2 {
-				t.Fatalf("%d results", len(got))
+		}
+		if _, err := c.Models(context.Background()); err != nil {
+			t.Fatalf("models after first call: %v", err)
+		}
+		h, err := c.Health(context.Background())
+		if err != nil || h.Status != "ok" || h.Models != 2 {
+			t.Fatalf("health: %+v err %v", h, err)
+		}
+	})
+	t.Run("v1-fallback", func(t *testing.T) {
+		url, paths := withoutV2(t)
+		c := client.New(url)
+		for i := 0; i < 2; i++ {
+			_, err := c.Localize(context.Background(), "wifi", wifiDS.Test[0].Features)
+			var apiErr *client.APIError
+			if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound || apiErr.Code != "" {
+				t.Fatalf("call %d: err %v, want the server's plain 404 as an *APIError", i, err)
 			}
-			for i, smp := range []int{0, 1} {
-				want := wifiModel.Predict(wifiDS.Test[smp].Features)
-				if got[i].X != want.Pos.X || got[i].Y != want.Pos.Y || got[i].Class != want.Class ||
-					got[i].Building != want.Building || got[i].Floor != want.Floor {
-					t.Fatalf("result %d: %+v, model predicts %+v", i, got[i], want)
-				}
-			}
-			// Later calls keep working on the learned protocol.
-			if _, err := c.Models(context.Background()); err != nil {
-				t.Fatalf("models after first call: %v", err)
-			}
-			h, err := c.Health(context.Background())
-			if err != nil || h.Status != "ok" || h.Models != 2 {
-				t.Fatalf("health: %+v err %v", h, err)
-			}
-		})
-	}
+		}
+		if got := strings.Join(paths(), " "); got != "/v2/localize /v2/localize" {
+			t.Fatalf("server saw %q, want one /v2/localize per call and no /v1 retry", got)
+		}
+	})
 }
 
 // The SDK has one JSON decoder, encoding/json, so a localize response is
@@ -180,14 +204,6 @@ func TestTypedErrors(t *testing.T) {
 	var apiErr *client.APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound || apiErr.RequestID == "" {
 		t.Fatalf("APIError %+v", apiErr)
-	}
-
-	// Against a /v1 server the code is empty but status and message
-	// survive.
-	cv1 := client.New(v1Only(t, ts).URL)
-	_, err = cv1.Localize(context.Background(), "nope", wifiDS.Test[0].Features)
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound || apiErr.Code != "" || apiErr.Message == "" {
-		t.Fatalf("v1 APIError %+v (err %v)", apiErr, err)
 	}
 }
 
@@ -332,33 +348,25 @@ func TestAppendSurfacesPartialCommit(t *testing.T) {
 	// A mid-request inference failure answers 500 with the committed
 	// prefix in the body; Append must return that state alongside the
 	// *APIError so the caller can resend only the unreported tail.
-	bodies := map[string]string{
-		"v2": `{"request_id":"r1","session":"d","model":"m","steps":3,"position":{"x":1,"y":2},
-		       "results":[{"step":3,"end":{"x":1,"y":2},"class":7,"displacement":{"x":0,"y":0}}],
-		       "error":{"code":"inference_failed","message":"inference at segment 1: boom","request_id":"r1"}}`,
-		"v1": `{"session":"d","model":"m","steps":3,"position":{"x":1,"y":2},
-		       "results":[{"step":3,"end":{"x":1,"y":2},"class":7,"displacement":{"x":0,"y":0}}],
-		       "error":"inference at segment 1: boom"}`,
-	}
-	for name, body := range bodies {
-		t.Run(name, func(t *testing.T) {
-			mock := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				w.Header().Set("Content-Type", "application/json")
-				w.WriteHeader(http.StatusInternalServerError)
-				w.Write([]byte(body))
-			}))
-			defer mock.Close()
-			c := client.New(mock.URL)
-			st, err := c.Session("d").Append(context.Background(), client.AppendRequest{})
-			var apiErr *client.APIError
-			if !errors.As(err, &apiErr) || apiErr.Status != http.StatusInternalServerError {
-				t.Fatalf("err %v, want 500 APIError", err)
-			}
-			if st.Session != "d" || st.Steps != 3 || len(st.Results) != 1 || st.Results[0].Class != 7 {
-				t.Fatalf("partial-commit state lost: %+v", st)
-			}
-		})
-	}
+	body := `{"request_id":"r1","session":"d","model":"m","steps":3,"position":{"x":1,"y":2},
+	         "results":[{"step":3,"end":{"x":1,"y":2},"class":7,"displacement":{"x":0,"y":0}}],
+	         "error":{"code":"inference_failed","message":"inference at segment 1: boom","request_id":"r1"}}`
+	t.Run("v2", func(t *testing.T) {
+		mock := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusInternalServerError)
+			w.Write([]byte(body))
+		}))
+		defer mock.Close()
+		c := client.New(mock.URL)
+		st, err := c.Session("d").Append(context.Background(), client.AppendRequest{})
+		if !client.IsCode(err, client.CodeInference) || err.(*client.APIError).Status != http.StatusInternalServerError {
+			t.Fatalf("err %v, want 500 inference_failed APIError", err)
+		}
+		if st.Session != "d" || st.Steps != 3 || len(st.Results) != 1 || st.Results[0].Class != 7 {
+			t.Fatalf("partial-commit state lost: %+v", st)
+		}
+	})
 }
 
 func TestDeadlineHeaderPropagates(t *testing.T) {
@@ -429,14 +437,16 @@ func TestTrackStreamInteractive(t *testing.T) {
 	}
 }
 
+// Streaming against a server without /v2 fails with that server's
+// answer, a 404, not a client-side refusal.
 func TestTrackStreamRequiresV2(t *testing.T) {
-	ts := newServer(t, 0)
-	c := client.New(v1Only(t, ts).URL)
-	// Learn the protocol with one call, then streaming must refuse.
-	if _, err := c.Models(context.Background()); err != nil {
-		t.Fatal(err)
+	url, paths := withoutV2(t)
+	_, err := client.New(url).TrackStream(context.Background(), client.StreamOpen{})
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
+		t.Fatalf("err %v, want the server's 404 as an *APIError", err)
 	}
-	if _, err := c.TrackStream(context.Background(), client.StreamOpen{}); err == nil {
-		t.Fatal("streaming against a /v1 server must error")
+	if got := strings.Join(paths(), " "); got != "/v2/track/stream" {
+		t.Fatalf("server saw %q, want /v2/track/stream", got)
 	}
 }

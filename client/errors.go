@@ -5,8 +5,7 @@ import (
 	"fmt"
 )
 
-// Error codes a /v2 server may return; mirror internal/serve. Against a
-// /v1 server Code is empty (only Status and Message are populated).
+// Error codes the server may return; mirror internal/serve.
 const (
 	CodeBadRequest       = "bad_request"
 	CodeBadBody          = "bad_body"
@@ -24,9 +23,11 @@ const (
 	CodeDraining         = "server_draining"
 )
 
-// APIError is a non-2xx server answer: HTTP status, the /v2
-// machine-readable code (empty from a /v1 server), the human-readable
-// message, and the server-assigned request ID when present.
+// APIError is a non-2xx server answer: HTTP status, the
+// machine-readable code, the human-readable message, and the
+// server-assigned request ID. Code is empty when the body is not the
+// error envelope (a proxy's page, the plain-text 404 of a path the
+// server does not route); Message then holds the start of the body.
 type APIError struct {
 	Status    int
 	Code      string
@@ -47,44 +48,23 @@ func IsCode(err error, code string) bool {
 	return ok && e.Code == code
 }
 
-// parseAPIError decodes an error body: the /v2 structured envelope
-// {"error":{"code","message","request_id"}}, the /v1 free-text
-// {"error":"..."} shape, or — for non-JSON bodies — the raw text.
+// parseAPIError decodes an error body: the structured envelope
+// {"error":{"code","message","request_id"}}, or — for any other body —
+// the raw text.
 func parseAPIError(status int, body []byte) *APIError {
-	var probe struct {
-		Error json.RawMessage `json:"error"`
+	var env struct {
+		Error *struct {
+			Code      string `json:"code"`
+			Message   string `json:"message"`
+			RequestID string `json:"request_id"`
+		} `json:"error"`
 	}
-	if err := json.Unmarshal(body, &probe); err == nil && len(probe.Error) > 0 {
-		switch probe.Error[0] {
-		case '{': // /v2 envelope
-			var e struct {
-				Code      string `json:"code"`
-				Message   string `json:"message"`
-				RequestID string `json:"request_id"`
-			}
-			if json.Unmarshal(probe.Error, &e) == nil {
-				return &APIError{Status: status, Code: e.Code, Message: e.Message, RequestID: e.RequestID}
-			}
-		case '"': // /v1 free text
-			var msg string
-			if json.Unmarshal(probe.Error, &msg) == nil {
-				return &APIError{Status: status, Message: msg}
-			}
-		}
+	if json.Unmarshal(body, &env) == nil && env.Error != nil {
+		return &APIError{Status: status, Code: env.Error.Code, Message: env.Error.Message, RequestID: env.Error.RequestID}
 	}
 	msg := string(body)
 	if len(msg) > 200 {
 		msg = msg[:200]
 	}
 	return &APIError{Status: status, Message: msg}
-}
-
-// isJSONError reports whether body parses as either error shape — used
-// to tell a real /v2 404 (model_not_found, session_not_found) from the
-// mux's plain-text 404 that means the /v2 routes do not exist.
-func isJSONError(body []byte) bool {
-	var probe struct {
-		Error json.RawMessage `json:"error"`
-	}
-	return json.Unmarshal(body, &probe) == nil && len(probe.Error) > 0
 }

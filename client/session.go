@@ -44,9 +44,8 @@ func (s *Session) Append(ctx context.Context, req AppendRequest) (SessionState, 
 	// is a 5xx (500 failed pass, 504 deadline mid-append) whose body is
 	// the session state (committed Results, Steps, Position) with the
 	// error riding along. Decode it so the caller can follow the
-	// resend-only-the-tail protocol. Both the /v1 (error string) and
-	// /v2 (error object) shapes decode — unknown fields are ignored; a
-	// non-session 5xx body leaves st zero.
+	// resend-only-the-tail protocol. The error object rides in a field
+	// SessionState does not have; a non-session 5xx body leaves st zero.
 	if status >= 500 {
 		if json.Unmarshal(raw, &st) != nil || st.Session == "" {
 			st = SessionState{}

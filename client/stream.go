@@ -3,7 +3,6 @@ package client
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"sync"
@@ -48,13 +47,9 @@ type TrackStream struct {
 }
 
 // TrackStream opens a streaming-tracking connection and sends the open
-// line. Requires a /v2 server (there is no /v1 equivalent to fall back
-// to). The first Recv answers the open line itself (its decode of any
+// line. The first Recv answers the open line itself (its decode of any
 // segments carried in open).
 func (c *Client) TrackStream(ctx context.Context, open StreamOpen) (*TrackStream, error) {
-	if c.speaksV1() {
-		return nil, fmt.Errorf("client: track streaming requires a /v2 server")
-	}
 	pr, pw := io.Pipe()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v2/track/stream", pr)
 	if err != nil {

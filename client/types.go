@@ -1,6 +1,6 @@
 package client
 
-// Wire types, mirroring the server's /v1+/v2 JSON shapes. They are
+// Wire types, mirroring the server's /v2 JSON shapes. They are
 // defined here rather than imported so the SDK stays a standalone
 // dependency surface: a device vendor builds against this package only.
 
@@ -45,8 +45,8 @@ type ModelInfo struct {
 	LoadedAt   string `json:"loaded_at"`
 
 	// Deployment lifecycle. Stage is "shadow", "canary", or "active"
-	// (empty against a pre-lifecycle server); /v2/models lists staged
-	// generations alongside the active ones, /v1/models actives only.
+	// (empty against a pre-lifecycle server); Models lists staged
+	// generations alongside the active ones.
 	Stage    string `json:"stage,omitempty"`
 	BundleID string `json:"bundle_id,omitempty"`
 
@@ -60,7 +60,7 @@ type ModelInfo struct {
 	SegmentDim  int `json:"segment_dim,omitempty"`
 
 	// Lifecycle carries a generation's promotion policy and live
-	// evaluation evidence (/v2/models only).
+	// evaluation evidence.
 	Lifecycle *LifecycleInfo `json:"lifecycle,omitempty"`
 }
 
@@ -90,8 +90,7 @@ type LifecyclePolicy struct {
 	MaxP99DeltaMS     float64 `json:"max_p99_delta_ms"`
 }
 
-// Health is the server liveness summary. RequestID and Draining are
-// /v2-only (zero against a /v1 server).
+// Health is the server liveness summary.
 type Health struct {
 	RequestID     string `json:"request_id,omitempty"`
 	Status        string `json:"status"`

@@ -61,17 +61,19 @@
 // schedule, or when a model's rolling re-anchor error drifts past its
 // promotion-time baseline by the configured delta.
 //
-// Endpoints:
+// Endpoints (docs/API.md is the wire reference):
 //
-//	POST   /v1/localize      {"model":"m","fingerprints":[[...]]}
-//	POST   /v1/track         {"model":"m","paths":[{"start":{"x":0,"y":0},"features":[...]}]}
-//	POST   /v1/sessions/{id}/segments
+//	POST   /v2/localize      {"model":"m","fingerprints":[[...]]}
+//	POST   /v2/track         {"model":"m","paths":[{"start":{"x":0,"y":0},"features":[...]}]}
+//	POST   /v2/track/stream  NDJSON streaming tracking, one line per step
+//	POST   /v2/sessions/{id}/segments
 //	                         stateful tracking: append IMU segments to a
 //	                         per-device session, optionally carrying a WiFi
 //	                         fingerprint that re-anchors the trajectory
-//	GET    /v1/sessions/{id} session state (steps, position, travel)
-//	DELETE /v1/sessions/{id} end a session
-//	GET    /v1/models        registered models and their shapes
+//	GET    /v2/sessions/{id} session state (steps, position, travel)
+//	DELETE /v2/sessions/{id} end a session
+//	GET    /v2/models        every live model generation and its shapes
+//	GET    /v2/health        liveness with request ID and drain state
 //	GET    /healthz          liveness
 //	GET    /metrics          Prometheus text: request counts, latency
 //	                         quantiles, micro-batch occupancy per kind,

@@ -8,8 +8,8 @@
 // Arguments are normally package patterns handed to `go list` (the CI
 // gate runs `noble-vet ./...`). An argument that names a directory
 // under a testdata/src tree is loaded as an analysistest fixture
-// package instead — that is how CI asserts the historical-bug
-// regression fixtures still trip their analyzers.
+// package instead — that is how the command's test asserts the
+// historical-bug regression fixtures still trip their analyzers.
 //
 // Exit status: 0 for a clean tree, 1 when findings were reported, 2
 // when analysis itself failed (load or type-check error).
@@ -18,29 +18,37 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"noble/internal/vetrules"
 	"noble/internal/vetrules/analysis"
 )
 
-func main() {
-	list := flag.Bool("list", false, "list analyzers and exit")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: noble-vet [-list] [packages or fixture dirs]\n")
-		flag.PrintDefaults()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("noble-vet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list analyzers and exit")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: noble-vet [-list] [packages or fixture dirs]\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	suite := vetrules.Suite()
 	if *list {
 		for _, a := range suite {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
 		}
-		return
+		return 0
 	}
 
-	args := flag.Args()
+	args = fs.Args()
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
@@ -52,8 +60,8 @@ func main() {
 			if st, err := os.Stat(arg); err == nil && st.IsDir() {
 				pkg, err := analysis.LoadFixture(srcRoot, pkgPath)
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "noble-vet: loading fixture %s: %v\n", arg, err)
-					os.Exit(2)
+					fmt.Fprintf(stderr, "noble-vet: loading fixture %s: %v\n", arg, err)
+					return 2
 				}
 				pkgs = append(pkgs, pkg)
 				continue
@@ -64,22 +72,23 @@ func main() {
 	if len(patterns) > 0 {
 		loaded, err := analysis.LoadPatterns(patterns...)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "noble-vet: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "noble-vet: %v\n", err)
+			return 2
 		}
 		pkgs = append(pkgs, loaded...)
 	}
 
 	findings, err := analysis.RunAnalyzers(pkgs, suite)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "noble-vet: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "noble-vet: %v\n", err)
+		return 2
 	}
 	for _, f := range findings {
-		fmt.Println(f)
+		fmt.Fprintln(stdout, f)
 	}
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "noble-vet: %d finding(s)\n", len(findings))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "noble-vet: %d finding(s)\n", len(findings))
+		return 1
 	}
+	return 0
 }

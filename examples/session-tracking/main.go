@@ -73,7 +73,7 @@ func main() {
 	fmt.Printf("serving on %s\n\n", srv.URL)
 
 	// --- The SDK client: speaks /v2 (structured errors, request IDs,
-	// deadlines), falls back to /v1 automatically on older servers.
+	// deadlines).
 	c := client.New(srv.URL)
 	sess := c.Session("phone-1")
 	must := func(st client.SessionState, err error) client.SessionState {

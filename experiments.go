@@ -7,7 +7,8 @@ import (
 )
 
 // Preset selects experiment scale: Small (seconds per experiment, used by
-// the benchmarks) or Full (the EXPERIMENTS.md numbers).
+// the benchmarks) or Full (paper scale; its numbers are not recorded in
+// the repo yet, and ROADMAP direction 1(b) records them).
 type Preset = experiments.Preset
 
 // Experiment presets.

@@ -4,8 +4,8 @@
 // the values measured on the synthetic substrates, so the reproduction
 // target — the *shape* of each result, who wins and by roughly what factor
 // — is auditable at a glance. Runners come in two presets: Small (seconds,
-// used by `go test -bench`) and Full (the numbers recorded in
-// EXPERIMENTS.md).
+// used by `go test -bench`) and Full (paper scale; its numbers are not
+// recorded in the repo yet, and ROADMAP direction 1(b) records them).
 package experiments
 
 import (

@@ -16,16 +16,14 @@ import (
 )
 
 // This file is the HTTP adapter: one table of operations over the
-// Engine, mounted once per wire dialect. An operation decodes its
-// request, calls the Engine and encodes the typed result, never asking
-// which protocol version it serves: what /v1 and /v2 answer differently
-// lives on the dialect type, and golden files pin the bytes of both.
-// All validation and inference logic lives in the Engine.
+// Engine, mounted under /v2. An operation decodes its request, calls the
+// Engine and encodes the typed result; golden files pin the bytes. All
+// validation and inference logic lives in the Engine.
 
-// LocalizeRequest is the POST /v{1,2}/localize body: one or more
+// LocalizeRequest is the POST /v2/localize body: one or more
 // normalized fingerprints (values in [0,1], as produced by
 // radio.Normalize) for one named Wi-Fi model, plus an optional
-// per-request deadline the dialect may honour. A typical device sends
+// per-request deadline. A typical device sends
 // exactly one fingerprint; the server's micro-batcher coalesces across
 // devices.
 type LocalizeRequest struct {
@@ -43,9 +41,7 @@ type Position struct {
 	Floor    int     `json:"floor"`
 }
 
-// LocalizeResponse answers localize in request order. RequestID is
-// empty — and omitted — under a dialect that assigns none; the same
-// holds for every response shape below.
+// LocalizeResponse answers localize in request order.
 type LocalizeResponse struct {
 	RequestID string     `json:"request_id,omitempty"`
 	Model     string     `json:"model"`
@@ -68,7 +64,7 @@ type XY struct {
 
 func xy(p geo.Point) XY { return XY{X: p.X, Y: p.Y} }
 
-// TrackRequest is the POST /v{1,2}/track body.
+// TrackRequest is the POST /v2/track body.
 type TrackRequest struct {
 	Model      string      `json:"model"`
 	Paths      []TrackPath `json:"paths"`
@@ -107,8 +103,8 @@ type healthResponse struct {
 	Draining      bool   `json:"draining,omitempty"`
 }
 
-// apiError is the free-text JSON error body (/v1, and the debug and
-// admin planes).
+// apiError is the free-text JSON error body of the debug and admin
+// planes.
 type apiError struct {
 	Error string `json:"error"`
 }
@@ -131,48 +127,11 @@ const (
 	maxPathsPerRequest = 64      // per track request
 )
 
-// dialect is one version of the wire protocol. It owns every difference
-// between the versions and nothing else: whether a request gets a
-// server-assigned ID (echoed in X-Request-Id and in bodies), whether
-// its deadline carriers are honoured, how an error is written, and
-// which models listing it sees.
-type dialect struct {
-	version      int    // N of the /vN route prefix
-	prefix       string // route prefix
-	metricPrefix string // prepended to an operation's endpoint label
-}
-
-// dialects are the protocol versions served: /v1, the original
-// free-text protocol, frozen byte-for-byte; and /v2, with structured
-// errors, request IDs, deadlines and streaming.
-var dialects = []dialect{
-	{version: 1, prefix: "/v1"},
-	{version: 2, prefix: "/v2", metricPrefix: "v2_"},
-}
-
-// structured reports whether the dialect has the /v2 features.
-func (d dialect) structured() bool { return d.version >= 2 }
-
-// requestID assigns the request's ID and echoes it in X-Request-Id; ""
-// when the dialect has none.
-func (d dialect) requestID(e *Engine, w http.ResponseWriter) string {
-	if !d.structured() {
-		return ""
-	}
-	id := e.NextRequestID()
-	w.Header().Set("X-Request-Id", id)
-	return id
-}
-
-// context derives the per-request context. A structured dialect takes
-// the stricter of the X-Deadline-Ms header and the body's deadline_ms
-// field (either may be absent), and rejects a malformed one rather than
-// ignoring it — a device that thinks it set a deadline must not wait
-// forever. /v1 never had deadlines and reads neither.
-func (d dialect) context(r *http.Request, bodyMs int64) (context.Context, context.CancelFunc, *Error) {
-	if !d.structured() {
-		return r.Context(), func() {}, nil
-	}
+// requestContext derives the per-request context from the stricter of
+// the X-Deadline-Ms header and the body's deadline_ms field (either may
+// be absent), and rejects a malformed one rather than ignoring it — a
+// device that thinks it set a deadline must not wait forever.
+func requestContext(r *http.Request, bodyMs int64) (context.Context, context.CancelFunc, *Error) {
 	ms := int64(0)
 	if h := r.Header.Get("X-Deadline-Ms"); h != "" {
 		v, err := strconv.ParseInt(h, 10, 64)
@@ -196,70 +155,33 @@ func (d dialect) context(r *http.Request, bodyMs int64) (context.Context, contex
 	return ctx, cancel, nil
 }
 
-// writeError answers a failed request: the envelope, or /v1's free-text
-// body under the same status.
-func (d dialect) writeError(w http.ResponseWriter, reqID string, e *Error) {
-	if !d.structured() {
-		fail(w, e.Status, "%s", e.Message)
-		return
-	}
-	writeEnvelope(w, reqID, e)
-}
-
-// inlineError is the value of the "error" key on a session response
-// that carries committed steps beside a failure: the structured object,
-// or /v1's bare message.
-func (d dialect) inlineError(reqID string, e *Error) any {
-	if !d.structured() {
-		return e.Message
-	}
-	return &errorObject{Code: e.Code, Message: e.Message, RequestID: reqID}
-}
-
-// models is the listing the dialect exposes. The structured one is
-// lifecycle-aware: every live generation — staged shadow/canary
-// candidates included — each with its lifecycle block (stage, target,
-// promotion policy, and the live evidence the controller weighs). /v1
-// keeps the legacy shape: active generations only.
-func (d dialect) models(e *Engine) []ModelInfo {
-	if !d.structured() {
-		return e.Models()
-	}
-	return e.ModelsLifecycle()
-}
-
-// operation is one row of the serving surface: where it is mounted
-// under a dialect's prefix, the endpoint label its requests are counted
-// and traced under, and the handler, written once against the Engine.
+// operation is one row of the serving surface: where it is mounted, the
+// endpoint label its requests are counted and traced under, and the
+// handler, written once against the Engine.
 type operation struct {
 	method, path string
-	metric       string // endpoint label, after the dialect's prefix
-	since        int    // first dialect version that has the operation
+	metric       string // endpoint label
 	gated        bool   // new inference work: refused while the server drains
 	longLived    bool   // one connection carries many exchanges, each traced on its own
 	handle       func(*exchange)
 }
 
-// operations is the whole versioned surface.
+// operations is the whole /v2 surface.
 var operations = []operation{
-	{method: "POST", path: "/localize", metric: "localize", since: 1, gated: true, handle: opLocalize},
-	{method: "POST", path: "/track", metric: "track", since: 1, gated: true, handle: opTrack},
-	{method: "POST", path: "/track/stream", metric: "track_stream", since: 2, gated: true, longLived: true, handle: opTrackStream},
-	{method: "POST", path: "/sessions/{id}/segments", metric: "sessions", since: 1, gated: true, handle: opSessionAppend},
-	{method: "GET", path: "/sessions/{id}", metric: "sessions_get", since: 1, handle: opSessionGet},
-	{method: "DELETE", path: "/sessions/{id}", metric: "sessions_delete", since: 1, handle: opSessionDelete},
-	{method: "GET", path: "/models", metric: "models", since: 1, handle: opModels},
-	{method: "GET", path: "/health", metric: "health", since: 2, handle: opHealth},
+	{method: "POST", path: "/v2/localize", metric: "v2_localize", gated: true, handle: opLocalize},
+	{method: "POST", path: "/v2/track", metric: "v2_track", gated: true, handle: opTrack},
+	{method: "POST", path: "/v2/track/stream", metric: "v2_track_stream", gated: true, longLived: true, handle: opTrackStream},
+	{method: "POST", path: "/v2/sessions/{id}/segments", metric: "v2_sessions", gated: true, handle: opSessionAppend},
+	{method: "GET", path: "/v2/sessions/{id}", metric: "v2_sessions_get", handle: opSessionGet},
+	{method: "DELETE", path: "/v2/sessions/{id}", metric: "v2_sessions_delete", handle: opSessionDelete},
+	{method: "GET", path: "/v2/models", metric: "v2_models", handle: opModels},
+	{method: "GET", path: "/v2/health", metric: "v2_health", handle: opHealth},
 }
 
 // routes installs all handlers on the server mux.
 func (s *Server) routes() {
-	for _, d := range dialects {
-		for _, o := range operations {
-			if d.version >= o.since {
-				s.mount(d, o)
-			}
-		}
+	for _, o := range operations {
+		s.mount(o)
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -274,18 +196,17 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 }
 
-// mount installs one operation under one dialect, wrapped with what
-// every row shares: request counting and latency, the request trace
-// (honoring a client-supplied X-Trace-Id, echoed back on the response)
-// whose spans the operation, the batcher and the journal glue fill in,
-// the drain gate, and the request ID.
-func (s *Server) mount(d dialect, o operation) {
-	name := d.metricPrefix + o.metric
-	s.mux.HandleFunc(o.method+" "+d.prefix+o.path, func(w http.ResponseWriter, r *http.Request) {
+// mount installs one operation, wrapped with what every row shares:
+// request counting and latency, the request trace (honoring a
+// client-supplied X-Trace-Id, echoed back on the response) whose spans
+// the operation, the batcher and the journal glue fill in, the request
+// ID, and the drain gate.
+func (s *Server) mount(o operation) {
+	s.mux.HandleFunc(o.method+" "+o.path, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		cw := &codeWriter{ResponseWriter: w, code: http.StatusOK}
 		if t := s.engine.Tracer(); t != nil {
-			ctx, tr := t.Start(r.Context(), name, r.Header.Get("X-Trace-Id"))
+			ctx, tr := t.Start(r.Context(), o.metric, r.Header.Get("X-Trace-Id"))
 			w.Header().Set("X-Trace-Id", tr.ID())
 			r = r.WithContext(ctx)
 			// A long-lived connection is not a request: finishing its
@@ -296,21 +217,16 @@ func (s *Server) mount(d dialect, o operation) {
 				defer func() { tr.Finish(cw.code) }()
 			}
 		}
+		reqID := s.engine.NextRequestID()
+		cw.Header().Set("X-Request-Id", reqID)
 		if o.gated && s.engine.Draining() {
-			// The 503 is the structured envelope under every dialect: /v1
-			// never had drain semantics, so no legacy client depends on its
-			// shape, and a machine-readable code is strictly more useful to
-			// a retrying fleet.
-			id := s.engine.NextRequestID()
 			cw.Header().Set("Retry-After", "1")
-			cw.Header().Set("X-Request-Id", id)
-			writeEnvelope(cw, id, errf(CodeDraining, http.StatusServiceUnavailable, "server is draining"))
+			writeEnvelope(cw, reqID, errf(CodeDraining, http.StatusServiceUnavailable, "server is draining"))
 		} else {
-			x := &exchange{s: s, d: d, w: cw, r: r, metric: name, reqID: d.requestID(s.engine, cw)}
-			obs.SetRequestID(r.Context(), x.reqID)
-			o.handle(x)
+			obs.SetRequestID(r.Context(), reqID)
+			o.handle(&exchange{s: s, w: cw, r: r, metric: o.metric, reqID: reqID})
 		}
-		s.metrics.Observe(name, cw.code, time.Since(start))
+		s.metrics.Observe(o.metric, cw.code, time.Since(start))
 	})
 }
 
@@ -329,17 +245,16 @@ func (w *codeWriter) WriteHeader(code int) {
 // Flush (the NDJSON stream needs it through the wrapper).
 func (w *codeWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// exchange is one request being answered under one dialect: what an
-// operation needs to decode, answer and fail it. The helpers open and
+// exchange is one request being answered: what an operation needs to
+// decode, answer and fail it. The helpers open and
 // close the decode and encode spans themselves, so no return path of an
 // operation can leak one.
 type exchange struct {
 	s      *Server
-	d      dialect
 	w      http.ResponseWriter
 	r      *http.Request
 	metric string // endpoint label, for the traces a long-lived operation starts
-	reqID  string // "" when the dialect assigns none
+	reqID  string
 }
 
 // decode reads the size-capped JSON request body into v, rejecting
@@ -404,8 +319,8 @@ func (x *exchange) reply(status int, v any) {
 	writeJSON(x.w, status, v)
 }
 
-// fail answers with an Engine (or adapter) error in the dialect's shape.
-func (x *exchange) fail(err error) { x.d.writeError(x.w, x.reqID, AsError(err)) }
+// fail answers with an Engine (or adapter) error in the envelope.
+func (x *exchange) fail(err error) { writeEnvelope(x.w, x.reqID, AsError(err)) }
 
 // writeJSON encodes v with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -429,7 +344,7 @@ func opLocalize(x *exchange) {
 	if !x.decode(&req) {
 		return
 	}
-	ctx, cancel, e := x.d.context(x.r, req.DeadlineMs)
+	ctx, cancel, e := requestContext(x.r, req.DeadlineMs)
 	if e != nil {
 		x.fail(e)
 		return
@@ -452,7 +367,7 @@ func opTrack(x *exchange) {
 	if !x.decode(&req) {
 		return
 	}
-	ctx, cancel, e := x.d.context(x.r, req.DeadlineMs)
+	ctx, cancel, e := requestContext(x.r, req.DeadlineMs)
 	if e != nil {
 		x.fail(e)
 		return
@@ -475,7 +390,7 @@ func opTrack(x *exchange) {
 }
 
 func opModels(x *exchange) {
-	x.reply(http.StatusOK, modelsResponse{Models: x.d.models(x.s.engine), RequestID: x.reqID})
+	x.reply(http.StatusOK, modelsResponse{Models: x.s.engine.ModelsLifecycle(), RequestID: x.reqID})
 }
 
 func opHealth(x *exchange) {

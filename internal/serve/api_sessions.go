@@ -18,7 +18,7 @@ import (
 // per-segment decoding) lives in Engine.AppendSegments; this file only
 // translates between JSON and the Engine's typed queries and states.
 
-// SessionSegmentsRequest is the POST /v{1,2}/sessions/{id}/segments
+// SessionSegmentsRequest is the POST /v2/sessions/{id}/segments
 // body (and one line of the stream). The first request for a device
 // creates the session and must name the IMU model plus an origin — an
 // explicit start anchor, a WiFi fingerprint, or both. Every request may
@@ -50,7 +50,7 @@ type SessionStepResult struct {
 // SessionResponse describes a session's state after a request. On a
 // mid-request inference failure the response carries the error's status
 // (500 for a failed pass, 504 when a deadline expired mid-append) with
-// Error set — the dialect's inline error — and Results holding the
+// Error set — the structured error object — and Results holding the
 // steps that DID commit; the failing segment and everything after it
 // were not applied (PathTracker.Step is pure), so the client resends
 // exactly the unreported tail.
@@ -66,7 +66,7 @@ type SessionResponse struct {
 	Class      int                 `json:"class"`
 	Traveled   XY                  `json:"traveled"` // displacement since origin / last fix
 	Results    []SessionStepResult `json:"results,omitempty"`
-	Error      any                 `json:"error,omitempty"`
+	Error      *errorObject        `json:"error,omitempty"`
 }
 
 // deleteResponse answers a session delete.
@@ -125,7 +125,8 @@ func (x *exchange) sessionResponse(st SessionState, err error) SessionResponse {
 		})
 	}
 	if err != nil {
-		resp.Error = x.d.inlineError(x.reqID, AsError(err))
+		e := AsError(err)
+		resp.Error = &errorObject{Code: e.Code, Message: e.Message, RequestID: x.reqID}
 	}
 	return resp
 }
@@ -135,7 +136,7 @@ func opSessionAppend(x *exchange) {
 	if !x.decode(&req) {
 		return
 	}
-	ctx, cancel, e := x.d.context(x.r, req.DeadlineMs)
+	ctx, cancel, e := requestContext(x.r, req.DeadlineMs)
 	if e != nil {
 		x.fail(e)
 		return
@@ -196,7 +197,7 @@ type streamLine struct {
 // one decoded estimate line per input line, flushed immediately, on a
 // single connection.
 func opTrackStream(x *exchange) {
-	conn, cancel, e := x.d.context(x.r, 0)
+	conn, cancel, e := requestContext(x.r, 0)
 	if e != nil {
 		x.fail(e)
 		return

@@ -19,22 +19,25 @@ import (
 func TestBodySizeAndDecodeErrors(t *testing.T) {
 	s := newTestServer(t, 0)
 	oversized := `{"pad":"` + strings.Repeat("a", maxBodyBytes+1) + `"}`
-	endpoints := []string{"/v1/localize", "/v1/track", "/v1/sessions/dev-err/segments"}
+	endpoints := []string{"/v2/localize", "/v2/track", "/v2/sessions/dev-err/segments"}
 	cases := []struct {
 		name string
 		body string
 		want int
+		code Code
 	}{
-		{"bad json", `{not json`, http.StatusBadRequest},
-		{"wrong top-level type", `[1,2,3]`, http.StatusBadRequest},
-		{"trailing garbage", `{"model":"imu-test"} extra`, http.StatusBadRequest},
-		{"oversized body", oversized, http.StatusRequestEntityTooLarge},
+		{"bad json", `{not json`, http.StatusBadRequest, CodeBadBody},
+		{"wrong top-level type", `[1,2,3]`, http.StatusBadRequest, CodeBadBody},
+		{"trailing garbage", `{"model":"imu-test"} extra`, http.StatusBadRequest, CodeBadBody},
+		{"oversized body", oversized, http.StatusRequestEntityTooLarge, CodeBodyTooLarge},
 	}
 	for _, ep := range endpoints {
 		for _, tc := range cases {
 			w := postJSON(t, s.Handler(), ep, tc.body)
 			if w.Code != tc.want {
 				t.Errorf("%s %s: status %d, want %d (body %.120s)", ep, tc.name, w.Code, tc.want, w.Body)
+			} else if e := decodeEnvelope(t, w.Body.Bytes()); e.Code != tc.code {
+				t.Errorf("%s %s: code %q, want %q", ep, tc.name, e.Code, tc.code)
 			}
 		}
 	}
@@ -47,7 +50,7 @@ func postSession(t *testing.T, s *Server, id string, req SessionSegmentsRequest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := postJSON(t, s.Handler(), "/v1/sessions/"+id+"/segments", string(raw))
+	w := postJSON(t, s.Handler(), "/v2/sessions/"+id+"/segments", string(raw))
 	var resp SessionResponse
 	if w.Code == http.StatusOK {
 		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
@@ -65,21 +68,24 @@ func TestSessionValidation(t *testing.T) {
 		id   string
 		req  SessionSegmentsRequest
 		want int
+		code Code
 	}{
-		{"create without model", "v0", SessionSegmentsRequest{Start: &XY{}, Features: seg}, http.StatusBadRequest},
-		{"create with unknown model", "v1", SessionSegmentsRequest{Model: "nope", Start: &XY{}}, http.StatusNotFound},
-		{"create with wifi model", "v2", SessionSegmentsRequest{Model: "wifi-test", Start: &XY{}}, http.StatusBadRequest},
-		{"create without origin", "v3", SessionSegmentsRequest{Model: "imu-test", Features: seg}, http.StatusBadRequest},
-		{"wifi_model without fingerprint", "v4", SessionSegmentsRequest{Model: "imu-test", Start: &XY{}, WiFiModel: "wifi-test"}, http.StatusBadRequest},
-		{"fingerprint without wifi_model", "v5", SessionSegmentsRequest{Model: "imu-test", Start: &XY{}, Fingerprint: []float64{0.1}}, http.StatusBadRequest},
-		{"fingerprint with wrong dim", "v6", SessionSegmentsRequest{Model: "imu-test", Start: &XY{}, WiFiModel: "wifi-test", Fingerprint: []float64{0.1}}, http.StatusBadRequest},
-		{"features not a segment multiple", "v7", SessionSegmentsRequest{Model: "imu-test", Start: &XY{}, Features: seg[:len(seg)-1]}, http.StatusBadRequest},
+		{"create without model", "v0", SessionSegmentsRequest{Start: &XY{}, Features: seg}, http.StatusBadRequest, CodeBadRequest},
+		{"create with unknown model", "v1", SessionSegmentsRequest{Model: "nope", Start: &XY{}}, http.StatusNotFound, CodeModelNotFound},
+		{"create with wifi model", "v2", SessionSegmentsRequest{Model: "wifi-test", Start: &XY{}}, http.StatusBadRequest, CodeWrongModelKind},
+		{"create without origin", "v3", SessionSegmentsRequest{Model: "imu-test", Features: seg}, http.StatusBadRequest, CodeBadRequest},
+		{"wifi_model without fingerprint", "v4", SessionSegmentsRequest{Model: "imu-test", Start: &XY{}, WiFiModel: "wifi-test"}, http.StatusBadRequest, CodeBadRequest},
+		{"fingerprint without wifi_model", "v5", SessionSegmentsRequest{Model: "imu-test", Start: &XY{}, Fingerprint: []float64{0.1}}, http.StatusBadRequest, CodeBadRequest},
+		{"fingerprint with wrong dim", "v6", SessionSegmentsRequest{Model: "imu-test", Start: &XY{}, WiFiModel: "wifi-test", Fingerprint: []float64{0.1}}, http.StatusBadRequest, CodeBadFingerprint},
+		{"features not a segment multiple", "v7", SessionSegmentsRequest{Model: "imu-test", Start: &XY{}, Features: seg[:len(seg)-1]}, http.StatusBadRequest, CodeBadSegment},
 		{"too many segments", "v8", SessionSegmentsRequest{Model: "imu-test", Start: &XY{},
-			Features: make([]float64, (maxSegmentsPerRequest+1)*imuModel.SegmentDim())}, http.StatusBadRequest},
+			Features: make([]float64, (maxSegmentsPerRequest+1)*imuModel.SegmentDim())}, http.StatusBadRequest, CodeBadSegment},
 	}
 	for _, tc := range cases {
 		if w, _ := postSession(t, s, tc.id, tc.req); w.Code != tc.want {
 			t.Errorf("%s: status %d, want %d (body %s)", tc.name, w.Code, tc.want, w.Body)
+		} else if e := decodeEnvelope(t, w.Body.Bytes()); e.Code != tc.code {
+			t.Errorf("%s: code %q, want %q", tc.name, e.Code, tc.code)
 		}
 	}
 
@@ -89,6 +95,8 @@ func TestSessionValidation(t *testing.T) {
 	}
 	if w, _ := postSession(t, s, "bound", SessionSegmentsRequest{Model: "other-model"}); w.Code != http.StatusConflict {
 		t.Errorf("model mismatch: status %d, want 409", w.Code)
+	} else if e := decodeEnvelope(t, w.Body.Bytes()); e.Code != CodeSessionConflict {
+		t.Errorf("model mismatch: code %q, want session_conflict", e.Code)
 	}
 
 	// A 400 must leave the session untouched: a valid fingerprint
@@ -101,7 +109,7 @@ func TestSessionValidation(t *testing.T) {
 		t.Fatalf("bad features with fix: status %d, want 400", w.Code)
 	}
 	g := httptest.NewRecorder()
-	s.Handler().ServeHTTP(g, httptest.NewRequest(http.MethodGet, "/v1/sessions/bound", nil))
+	s.Handler().ServeHTTP(g, httptest.NewRequest(http.MethodGet, "/v2/sessions/bound", nil))
 	var state SessionResponse
 	if err := json.Unmarshal(g.Body.Bytes(), &state); err != nil {
 		t.Fatal(err)
@@ -117,7 +125,7 @@ func TestSessionValidation(t *testing.T) {
 		t.Fatalf("create with bad features: status %d, want 400", w.Code)
 	}
 	g = httptest.NewRecorder()
-	s.Handler().ServeHTTP(g, httptest.NewRequest(http.MethodGet, "/v1/sessions/v9", nil))
+	s.Handler().ServeHTTP(g, httptest.NewRequest(http.MethodGet, "/v2/sessions/v9", nil))
 	if g.Code != http.StatusNotFound {
 		t.Fatalf("rejected create left a session behind: GET status %d", g.Code)
 	}
@@ -180,7 +188,7 @@ func TestSessionTrackingMatchesPathTracker(t *testing.T) {
 
 	// GET reflects the same state.
 	g := httptest.NewRecorder()
-	s.Handler().ServeHTTP(g, httptest.NewRequest(http.MethodGet, "/v1/sessions/dev-a", nil))
+	s.Handler().ServeHTTP(g, httptest.NewRequest(http.MethodGet, "/v2/sessions/dev-a", nil))
 	var got SessionResponse
 	if g.Code != http.StatusOK || json.Unmarshal(g.Body.Bytes(), &got) != nil {
 		t.Fatalf("GET session: %d %s", g.Code, g.Body)
@@ -230,12 +238,12 @@ func TestSessionTrackingMatchesPathTracker(t *testing.T) {
 
 	// Delete ends the session.
 	d := httptest.NewRecorder()
-	s.Handler().ServeHTTP(d, httptest.NewRequest(http.MethodDelete, "/v1/sessions/dev-a", nil))
+	s.Handler().ServeHTTP(d, httptest.NewRequest(http.MethodDelete, "/v2/sessions/dev-a", nil))
 	if d.Code != http.StatusOK {
 		t.Fatalf("DELETE: %d %s", d.Code, d.Body)
 	}
 	g = httptest.NewRecorder()
-	s.Handler().ServeHTTP(g, httptest.NewRequest(http.MethodGet, "/v1/sessions/dev-a", nil))
+	s.Handler().ServeHTTP(g, httptest.NewRequest(http.MethodGet, "/v2/sessions/dev-a", nil))
 	if g.Code != http.StatusNotFound {
 		t.Fatalf("GET after delete: %d", g.Code)
 	}
@@ -256,7 +264,7 @@ func TestBatchedSessionStepsMatchUnbatched(t *testing.T) {
 	segDim := imuModel.SegmentDim()
 
 	// Create sessions sequentially (cheap), then fire all first steps
-	// concurrently behind a /v1/track pass the gate holds open, so they
+	// concurrently behind a /v2/track pass the gate holds open, so they
 	// meet in the batcher's queue whatever the scheduler does.
 	for i := 0; i < n; i++ {
 		w, _ := postSession(t, s, fmt.Sprintf("dev-%d", i), SessionSegmentsRequest{
@@ -277,12 +285,12 @@ func TestBatchedSessionStepsMatchUnbatched(t *testing.T) {
 			defer wg.Done()
 			raw, _ := json.Marshal(SessionSegmentsRequest{Features: paths[i].Features[:segDim]})
 			<-start
-			w := postJSON(t, s.Handler(), fmt.Sprintf("/v1/sessions/dev-%d/segments", i), string(raw))
+			w := postJSON(t, s.Handler(), fmt.Sprintf("/v2/sessions/dev-%d/segments", i), string(raw))
 			codes[i] = w.Code
 			json.Unmarshal(w.Body.Bytes(), &results[i])
 		}(i)
 	}
-	release := holdPass(t, g, func() int { return postJSON(t, s.Handler(), "/v1/track", trackBody(paths[0])).Code })
+	release := holdPass(t, g, func() int { return postJSON(t, s.Handler(), "/v2/track", trackBody(paths[0])).Code })
 	close(start)
 	rideOnePass(t, g, s.engine.imuBatcher, "imu-test", n, release)
 	wg.Wait()
@@ -307,7 +315,7 @@ func TestBatchedSessionStepsMatchUnbatched(t *testing.T) {
 	}
 }
 
-// trackBody is a one-path /v1/track request for the imu-test model.
+// trackBody is a one-path /v2/track request for the imu-test model.
 func trackBody(p imu.Path) string {
 	raw, _ := json.Marshal(TrackRequest{Model: "imu-test", Paths: []TrackPath{{
 		Start:    XY{X: p.Start.X, Y: p.Start.Y},
@@ -317,7 +325,7 @@ func trackBody(p imu.Path) string {
 }
 
 // TestBatchedTrackMatchesUnbatched covers the same property for the
-// stateless /v1/track endpoint, which now rides the track batcher too.
+// stateless /v2/track endpoint, which now rides the track batcher too.
 func TestBatchedTrackMatchesUnbatched(t *testing.T) {
 	s := newTestServer(t, 5*time.Millisecond)
 	g := gatePasses(s.engine.imuBatcher)
@@ -336,7 +344,7 @@ func TestBatchedTrackMatchesUnbatched(t *testing.T) {
 			defer wg.Done()
 			raw := trackBody(paths[i])
 			<-start
-			w := postJSON(t, s.Handler(), "/v1/track", raw)
+			w := postJSON(t, s.Handler(), "/v2/track", raw)
 			codes[i] = w.Code
 			var resp TrackResponse
 			if err := json.Unmarshal(w.Body.Bytes(), &resp); err == nil && len(resp.Results) == 1 {
@@ -344,7 +352,7 @@ func TestBatchedTrackMatchesUnbatched(t *testing.T) {
 			}
 		}(i)
 	}
-	release := holdPass(t, g, func() int { return postJSON(t, s.Handler(), "/v1/track", trackBody(paths[0])).Code })
+	release := holdPass(t, g, func() int { return postJSON(t, s.Handler(), "/v2/track", trackBody(paths[0])).Code })
 	close(start)
 	rideOnePass(t, g, s.engine.imuBatcher, "imu-test", n, release)
 	wg.Wait()
@@ -383,7 +391,7 @@ func TestSessionEvictionAndMetrics(t *testing.T) {
 		t.Fatalf("idle session not evicted (%d)", n)
 	}
 	g := httptest.NewRecorder()
-	s.Handler().ServeHTTP(g, httptest.NewRequest(http.MethodGet, "/v1/sessions/ttl-dev", nil))
+	s.Handler().ServeHTTP(g, httptest.NewRequest(http.MethodGet, "/v2/sessions/ttl-dev", nil))
 	if g.Code != http.StatusNotFound {
 		t.Fatalf("GET after eviction: %d", g.Code)
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
@@ -8,9 +9,9 @@ import (
 )
 
 // TestOperationTable checks the table against the mux and the docs:
-// every row is mounted under every dialect that has it (and answers 404
-// under one that does not), and every endpoint label a row can be
-// counted under is listed in docs/API.md.
+// every row is mounted at its path, the /v1 twin of that path (the
+// dialect the server no longer speaks) gets the mux's plain 404, and
+// every endpoint label is listed in docs/API.md.
 func TestOperationTable(t *testing.T) {
 	s := newTestServer(t, 0)
 	doc, err := os.ReadFile("../../docs/API.md")
@@ -18,28 +19,31 @@ func TestOperationTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	labels := map[string]bool{}
-	for _, d := range dialects {
-		for _, o := range operations {
-			path := strings.ReplaceAll(d.prefix+o.path, "{id}", "x")
-			_, pattern := s.mux.Handler(httptest.NewRequest(o.method, path, nil))
-			want := ""
-			if d.version >= o.since {
-				want = o.method + " " + d.prefix + o.path
-			}
-			if pattern != want {
-				t.Errorf("%s %s routes to %q, want %q", o.method, path, pattern, want)
-			}
-			if want == "" {
-				continue
-			}
-			label := d.metricPrefix + o.metric
-			if labels[label] {
-				t.Errorf("endpoint label %q is used by two rows", label)
-			}
-			labels[label] = true
-			if !strings.Contains(string(doc), "`"+label+"`") {
-				t.Errorf("endpoint label %q (%s %s) is not listed in docs/API.md", label, o.method, path)
-			}
+	for _, o := range operations {
+		path := strings.ReplaceAll(o.path, "{id}", "x")
+		if _, pattern := s.mux.Handler(httptest.NewRequest(o.method, path, nil)); pattern != o.method+" "+o.path {
+			t.Errorf("%s %s routes to %q, want %q", o.method, path, pattern, o.method+" "+o.path)
 		}
+		assertV1Gone(t, s.Handler(), httptest.NewRequest(o.method, path, nil))
+		if labels[o.metric] {
+			t.Errorf("endpoint label %q is used by two rows", o.metric)
+		}
+		labels[o.metric] = true
+		if !strings.Contains(string(doc), "`"+o.metric+"`") {
+			t.Errorf("endpoint label %q (%s %s) is not listed in docs/API.md", o.metric, o.method, path)
+		}
+	}
+}
+
+// assertV1Gone sends req, a /v2 request, under its former /v1 path and
+// requires the mux's plain 404: no route, no request ID, no envelope.
+func assertV1Gone(t *testing.T, h http.Handler, req *http.Request) {
+	t.Helper()
+	req.URL.Path = "/v1" + strings.TrimPrefix(req.URL.Path, "/v2")
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	if w.Code != http.StatusNotFound || w.Body.String() != "404 page not found\n" || w.Header().Get("X-Request-Id") != "" {
+		t.Errorf("%s %s answers %d %q (X-Request-Id %q), want the mux's plain 404",
+			req.Method, req.URL.Path, w.Code, w.Body.String(), w.Header().Get("X-Request-Id"))
 	}
 }

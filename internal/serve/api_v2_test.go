@@ -380,13 +380,13 @@ func TestDrainRejectsNewCompletesInflight(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s.Handler().ServeHTTP(inflight, httptest.NewRequest(http.MethodPost, "/v1/localize", bytes.NewReader(raw)))
+		s.Handler().ServeHTTP(inflight, httptest.NewRequest(http.MethodPost, "/v2/localize", bytes.NewReader(raw)))
 	}()
 	time.Sleep(15 * time.Millisecond) // let it enter the batch queue
 	s.StartDraining()
 
 	// New work on every inference endpoint: 503 + envelope.
-	for _, ep := range []string{"/v1/localize", "/v2/localize", "/v1/track", "/v2/track", "/v2/track/stream", "/v1/sessions/d/segments"} {
+	for _, ep := range []string{"/v2/localize", "/v2/track", "/v2/track/stream", "/v2/sessions/d/segments"} {
 		w := postJSON(t, s.Handler(), ep, string(raw))
 		if w.Code != http.StatusServiceUnavailable {
 			t.Fatalf("%s during drain: status %d, want 503 (body %s)", ep, w.Code, w.Body)
@@ -427,7 +427,7 @@ func TestGracefulDrainOverHTTP(t *testing.T) {
 	}
 	inflight := make(chan result, 1)
 	go func() {
-		resp, err := http.Post(ts.URL+"/v1/localize", "application/json", bytes.NewReader(raw))
+		resp, err := http.Post(ts.URL+"/v2/localize", "application/json", bytes.NewReader(raw))
 		if err != nil {
 			inflight <- result{err: err}
 			return

@@ -192,7 +192,7 @@ func TestBrokenFirstPublishIsOnlyAFailedRecord(t *testing.T) {
 	if failed := reg.FailedBundles(); len(failed) != 1 || failed[0] != "m" {
 		t.Fatalf("FailedBundles = %v, want [m]", failed)
 	}
-	if _, ok := reg.Get("m"); ok || reg.Len() != 0 || len(reg.List()) != 0 || len(reg.ListLifecycle()) != 0 || len(reg.Deployments()) != 0 {
+	if _, ok := reg.Get("m"); ok || reg.Len() != 0 || len(reg.ListLifecycle()) != 0 || len(reg.Deployments()) != 0 {
 		t.Fatal("a failed load must not appear as a deployment")
 	}
 	if err := os.RemoveAll(filepath.Join(dir, "m")); err != nil {

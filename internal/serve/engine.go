@@ -20,15 +20,14 @@ import (
 // Engine is the transport-independent inference facade: it owns the
 // model registry, the micro-batchers, and the tracking-session store,
 // and exposes the full serving surface — Localize, Track,
-// AppendSegments, Session, DeleteSession, Models, Health — as plain
-// context-aware methods returning typed results and typed errors
+// AppendSegments, Session, DeleteSession, ModelsLifecycle, Health — as
+// plain context-aware methods returning typed results and typed errors
 // (*Error, with machine-readable codes and suggested HTTP statuses).
 //
-// HTTP is just one adapter over it: its /v1 dialect writes Engine
-// errors as the legacy free-text bodies byte-for-byte, /v2 wraps them
-// in the structured envelope, and embedders (tests, other transports)
-// call the Engine directly. Validation lives here, so
-// every transport enforces identical limits with identical messages.
+// HTTP is just one adapter over it — /v2 wraps Engine errors in the
+// structured envelope — and embedders (tests, other transports) call
+// the Engine directly. Validation lives here, so every transport
+// enforces identical limits with identical messages.
 type Engine struct {
 	reg         *Registry
 	wifiBatcher *Batcher[[]float64, core.WiFiPrediction]
@@ -147,9 +146,6 @@ func (e *Engine) Draining() bool { return e.draining.Load() }
 // NextRequestID assigns a server-side request ID (unique per process).
 func (e *Engine) NextRequestID() string {
 	n := e.reqSeq.Add(1)
-	if e.metrics != nil {
-		e.metrics.noteRequestID()
-	}
 	return e.idPrefix + "-" + strconv.FormatInt(n, 10)
 }
 
@@ -213,8 +209,8 @@ func (e *Engine) predictIMUBatch(model string, paths []imu.Path) ([]core.IMUPred
 }
 
 // submitErr maps a batcher Submit failure: context expiry keeps its
-// code; a failed pass is an inference error with the legacy "inference:"
-// message /v1 always used.
+// code; a failed pass is an inference error whose message starts
+// "inference:".
 func submitErr(err error) *Error {
 	e := AsError(err)
 	if e.Code == CodeInference {
@@ -642,13 +638,9 @@ func (e *Engine) fillSessionState(state *SessionState, sess *session.Session) {
 	state.Traveled = sess.Tracker.Traveled()
 }
 
-// Models lists the registered models (active generations only — the
-// user-visible catalog).
-func (e *Engine) Models() []ModelInfo { return e.reg.List() }
-
 // ModelsLifecycle lists every live generation — active and staged —
-// with lifecycle state and evaluation evidence (the /v2 and /debug
-// view).
+// with lifecycle state and evaluation evidence (the /v2/models and
+// /debug view).
 func (e *Engine) ModelsLifecycle() []ModelInfo { return e.reg.ListLifecycle() }
 
 // HealthInfo is the Engine's liveness summary.

@@ -10,8 +10,7 @@ import (
 // Code is a machine-readable error code. Every error the Engine returns
 // carries one; the /v2 wire protocol exposes it verbatim in the error
 // envelope so clients can branch on the failure class instead of
-// pattern-matching messages. /v1 keeps its original free-text error
-// bodies — the code only picks the HTTP status there.
+// pattern-matching messages.
 type Code string
 
 const (
@@ -54,8 +53,7 @@ const (
 
 // Error is the Engine's error type: a machine-readable Code, the HTTP
 // status a transport adapter should map it to, and a human-readable
-// message. The /v1 adapters write Message as the legacy free-text error
-// body; /v2 wraps Code+Message in the structured envelope.
+// message. /v2 wraps Code+Message in the structured envelope.
 type Error struct {
 	Code    Code
 	Status  int

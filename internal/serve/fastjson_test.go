@@ -24,7 +24,7 @@ var fastParseAccepts = []string{
 	`{"model":"m","fingerprints":[[0.1,0.2]],"deadline_ms":250}`,
 	`{"deadline_ms":10,"model":"m","fingerprints":[[1]]}`,
 	`{"deadline_ms":5,"deadline_ms":9,"model":"m","fingerprints":[[1]]}`,
-	`{"model":"m","fingerprints":[[1]],"deadline_ms":-5}`, // the dialect rejects it, not the parser
+	`{"model":"m","fingerprints":[[1]],"deadline_ms":-5}`, // requestContext rejects it, not the parser
 }
 
 // fastParseBails are inputs the fast scanner must *reject* (not

@@ -15,15 +15,13 @@ import (
 	"time"
 )
 
-// The golden tests pin both wire protocols byte-for-byte: every
-// request/response shape (localize, track, sessions, models, errors) is
-// recorded under testdata/golden and any refactor of the serving
-// internals must reproduce the exact same bytes. /v1 is frozen; the
-// /v2 files (v2_*.golden) pin everything the dialects differ in —
-// request IDs, deadlines, the error envelope, the partial-commit error
-// object, the lifecycle-aware models listing, the NDJSON stream — with
-// the per-process request ID and the wall-clock values normalised. Regenerate
-// with:
+// The golden tests pin the wire protocol byte-for-byte: every
+// request/response shape (localize, track, sessions, models, health,
+// errors, deadlines, the partial-commit error object, the NDJSON
+// stream) is recorded under testdata/golden as v2_*.golden, and any
+// refactor of the serving internals must reproduce the exact same
+// bytes, with the per-process request ID and the wall-clock values
+// normalised. Regenerate with:
 //
 //	go test ./internal/serve -run TestGolden -update-golden
 //
@@ -39,7 +37,7 @@ type goldenCase struct {
 	method string
 	path   string
 	body   string // empty for GET/DELETE
-	// header holds extra request headers (the /v2 deadline header).
+	// header holds extra request headers (the deadline header).
 	header map[string]string
 	// ctx, when set, replaces the request context — a pre-expired or
 	// pre-cancelled one makes the deadline and cancel shapes
@@ -100,61 +98,60 @@ func goldenCases(t *testing.T) []goldenCase {
 
 	return []goldenCase{
 		// Localize: success and every error shape.
-		{name: "localize_ok", method: "POST", path: "/v1/localize", body: localizeOK},
-		{name: "localize_bad_json", method: "POST", path: "/v1/localize", body: `{not json`},
-		{name: "localize_trailing_garbage", method: "POST", path: "/v1/localize", body: `{"model":"wifi-test","fingerprints":[]} extra`},
-		{name: "localize_missing_model", method: "POST", path: "/v1/localize", body: `{"fingerprints":[[0.1]]}`},
-		{name: "localize_unknown_model", method: "POST", path: "/v1/localize", body: `{"model":"nope","fingerprints":[[0.1]]}`},
-		{name: "localize_wrong_kind", method: "POST", path: "/v1/localize", body: `{"model":"imu-test","fingerprints":[[0.1]]}`},
-		{name: "localize_no_fingerprints", method: "POST", path: "/v1/localize", body: `{"model":"wifi-test","fingerprints":[]}`},
-		{name: "localize_bad_dim", method: "POST", path: "/v1/localize", body: `{"model":"wifi-test","fingerprints":[[0.1,0.2]]}`},
-		{name: "localize_too_many", method: "POST", path: "/v1/localize", body: marshal(tooMany)},
+		{name: "localize_ok", method: "POST", path: "/v2/localize", body: localizeOK},
+		{name: "localize_bad_json", method: "POST", path: "/v2/localize", body: `{not json`},
+		{name: "localize_trailing_garbage", method: "POST", path: "/v2/localize", body: `{"model":"wifi-test","fingerprints":[]} extra`},
+		{name: "localize_missing_model", method: "POST", path: "/v2/localize", body: `{"fingerprints":[[0.1]]}`},
+		{name: "localize_unknown_model", method: "POST", path: "/v2/localize", body: `{"model":"nope","fingerprints":[[0.1]]}`},
+		{name: "localize_wrong_kind", method: "POST", path: "/v2/localize", body: `{"model":"imu-test","fingerprints":[[0.1]]}`},
+		{name: "localize_no_fingerprints", method: "POST", path: "/v2/localize", body: `{"model":"wifi-test","fingerprints":[]}`},
+		{name: "localize_bad_dim", method: "POST", path: "/v2/localize", body: `{"model":"wifi-test","fingerprints":[[0.1,0.2]]}`},
+		{name: "localize_too_many", method: "POST", path: "/v2/localize", body: marshal(tooMany)},
 
 		// Track.
-		{name: "track_ok", method: "POST", path: "/v1/track", body: marshal(trackOK)},
-		{name: "track_no_paths", method: "POST", path: "/v1/track", body: `{"model":"imu-test","paths":[]}`},
-		{name: "track_bad_features", method: "POST", path: "/v1/track", body: `{"model":"imu-test","paths":[{"start":{"x":0,"y":0},"features":[1,2,3]}]}`},
-		{name: "track_unknown_model", method: "POST", path: "/v1/track", body: `{"model":"nope","paths":[{"start":{"x":0,"y":0},"features":[1]}]}`},
+		{name: "track_ok", method: "POST", path: "/v2/track", body: marshal(trackOK)},
+		{name: "track_no_paths", method: "POST", path: "/v2/track", body: `{"model":"imu-test","paths":[]}`},
+		{name: "track_bad_features", method: "POST", path: "/v2/track", body: `{"model":"imu-test","paths":[{"start":{"x":0,"y":0},"features":[1,2,3]}]}`},
+		{name: "track_unknown_model", method: "POST", path: "/v2/track", body: `{"model":"nope","paths":[{"start":{"x":0,"y":0},"features":[1]}]}`},
 
 		// Sessions: create, append, fix, introspect, conflict, delete.
-		{name: "session_create", method: "POST", path: "/v1/sessions/golden-dev/segments", body: marshal(SessionSegmentsRequest{
+		{name: "session_create", method: "POST", path: "/v2/sessions/golden-dev/segments", body: marshal(SessionSegmentsRequest{
 			Model: "imu-test", Start: &XY{X: 12, Y: 24}, Window: 2,
 		})},
-		{name: "session_append", method: "POST", path: "/v1/sessions/golden-dev/segments", body: marshal(SessionSegmentsRequest{
+		{name: "session_append", method: "POST", path: "/v2/sessions/golden-dev/segments", body: marshal(SessionSegmentsRequest{
 			Features: seg,
 		})},
-		{name: "session_fix", method: "POST", path: "/v1/sessions/golden-dev/segments", body: marshal(SessionSegmentsRequest{
+		{name: "session_fix", method: "POST", path: "/v2/sessions/golden-dev/segments", body: marshal(SessionSegmentsRequest{
 			Features: seg, WiFiModel: "wifi-test", Fingerprint: scan,
 		})},
-		{name: "session_get", method: "GET", path: "/v1/sessions/golden-dev"},
-		{name: "session_model_conflict", method: "POST", path: "/v1/sessions/golden-dev/segments", body: marshal(SessionSegmentsRequest{
+		{name: "session_get", method: "GET", path: "/v2/sessions/golden-dev"},
+		{name: "session_model_conflict", method: "POST", path: "/v2/sessions/golden-dev/segments", body: marshal(SessionSegmentsRequest{
 			Model: "other-model",
 		})},
-		{name: "session_create_no_model", method: "POST", path: "/v1/sessions/golden-new/segments", body: marshal(SessionSegmentsRequest{
+		{name: "session_create_no_model", method: "POST", path: "/v2/sessions/golden-new/segments", body: marshal(SessionSegmentsRequest{
 			Start: &XY{},
 		})},
-		{name: "session_create_no_origin", method: "POST", path: "/v1/sessions/golden-new/segments", body: marshal(SessionSegmentsRequest{
+		{name: "session_create_no_origin", method: "POST", path: "/v2/sessions/golden-new/segments", body: marshal(SessionSegmentsRequest{
 			Model: "imu-test", Features: seg,
 		})},
-		{name: "session_bad_multiple", method: "POST", path: "/v1/sessions/golden-dev/segments", body: marshal(SessionSegmentsRequest{
+		{name: "session_bad_multiple", method: "POST", path: "/v2/sessions/golden-dev/segments", body: marshal(SessionSegmentsRequest{
 			Features: seg[:segDim-1],
 		})},
-		{name: "session_fingerprint_no_model", method: "POST", path: "/v1/sessions/golden-dev/segments", body: marshal(SessionSegmentsRequest{
+		{name: "session_fingerprint_no_model", method: "POST", path: "/v2/sessions/golden-dev/segments", body: marshal(SessionSegmentsRequest{
 			Fingerprint: scan,
 		})},
-		{name: "session_delete", method: "DELETE", path: "/v1/sessions/golden-dev"},
-		{name: "session_delete_missing", method: "DELETE", path: "/v1/sessions/golden-dev"},
-		{name: "session_get_missing", method: "GET", path: "/v1/sessions/golden-dev"},
+		{name: "session_delete", method: "DELETE", path: "/v2/sessions/golden-dev"},
+		{name: "session_delete_missing", method: "DELETE", path: "/v2/sessions/golden-dev"},
+		{name: "session_get_missing", method: "GET", path: "/v2/sessions/golden-dev"},
 
 		// Listings.
-		{name: "models", method: "GET", path: "/v1/models"},
+		{name: "models", method: "GET", path: "/v2/models"},
 	}
 }
 
-// goldenDialectCases are the shapes the two dialects answer differently
-// beyond the request ID: the partial-commit response and the drain
-// rejection. prefix is "/v1" or "/v2". The drain case goes last.
-func goldenDialectCases(t *testing.T, prefix string) []goldenCase {
+// goldenTailCases are the partial-commit response and the drain
+// rejection. The drain case goes last.
+func goldenTailCases(t *testing.T) []goldenCase {
 	t.Helper()
 	fixtures(t)
 	seg := imuDS.Test[0].Features[:imuModel.SegmentDim()]
@@ -162,20 +159,16 @@ func goldenDialectCases(t *testing.T, prefix string) []goldenCase {
 	return []goldenCase{
 		// The session is created, then its first step finds the deadline
 		// gone: the committed prefix (none) rides along with the error.
-		{name: "session_partial_commit", method: "POST", path: prefix + "/sessions/golden-partial/segments", body: create, ctx: expired},
-		{name: "draining", method: "POST", path: prefix + "/localize", body: `{"model":"wifi-test","fingerprints":[[0.1]]}`, drain: true},
+		{name: "session_partial_commit", method: "POST", path: "/v2/sessions/golden-partial/segments", body: create, ctx: expired},
+		{name: "draining", method: "POST", path: "/v2/localize", body: `{"model":"wifi-test","fingerprints":[[0.1]]}`, drain: true},
 	}
 }
 
-// goldenV2Cases are the /v2 twins of every /v1 case plus the /v2-only
-// shapes.
+// goldenV2Cases are goldenCases plus the deadline, body-limit,
+// streaming and health shapes, then the tail cases.
 func goldenV2Cases(t *testing.T) []goldenCase {
 	t.Helper()
-	var cases []goldenCase
-	for _, tc := range goldenCases(t) {
-		tc.path = "/v2" + strings.TrimPrefix(tc.path, "/v1")
-		cases = append(cases, tc)
-	}
+	cases := goldenCases(t)
 	marshal := func(v any) string { return goldenJSON(t, v) }
 	segDim := imuModel.SegmentDim()
 	seg := imuDS.Test[0].Features[:segDim]
@@ -234,7 +227,7 @@ func goldenV2Cases(t *testing.T) []goldenCase {
 
 		{name: "health", method: "GET", path: "/v2/health"},
 	}...)
-	cases = append(cases, goldenDialectCases(t, "/v2")...)
+	cases = append(cases, goldenTailCases(t)...)
 	return append(cases,
 		goldenCase{name: "stream_draining", method: "POST", path: "/v2/track/stream", body: stream(open)},
 		goldenCase{name: "health_draining", method: "GET", path: "/v2/health"},
@@ -242,7 +235,7 @@ func goldenV2Cases(t *testing.T) []goldenCase {
 }
 
 // newGoldenServer is newTestServer with pinned LoadedAt stamps so the
-// /v1/models bytes are reproducible.
+// /v2/models bytes are reproducible.
 func newGoldenServer(t *testing.T) *Server {
 	t.Helper()
 	fixtures(t)
@@ -253,20 +246,40 @@ func newGoldenServer(t *testing.T) *Server {
 	return New(Config{Registry: reg, BatchWindow: 0, MaxBatch: 64})
 }
 
+// TestGoldenV1 plays every request the removed /v1 dialect had a golden
+// file for, under its old /v1 path, and pins the one answer each now
+// gets: the mux's plain 404.
 func TestGoldenV1(t *testing.T) {
 	cases := goldenCases(t)
-	fp := goldenJSON(t, wifiDS.Test[0].Features)
 	cases = append(cases, goldenCase{
-		// /v1 honours neither deadline carrier, malformed or not.
-		name: "localize_deadline_ignored", method: "POST", path: "/v1/localize",
-		body:   fmt.Sprintf(`{"model":"wifi-test","fingerprints":[%s],"deadline_ms":-5}`, fp),
+		name: "localize_deadline_ignored", method: "POST", path: "/v2/localize",
+		body:   `{"model":"wifi-test","fingerprints":[[0.1]],"deadline_ms":-5}`,
 		header: map[string]string{"X-Deadline-Ms": "soon"},
 	})
-	runGolden(t, "", append(cases, goldenDialectCases(t, "/v1")...))
+	s := newGoldenServer(t)
+	for _, tc := range append(cases, goldenTailCases(t)...) {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.drain {
+				s.StartDraining()
+			}
+			assertV1Gone(t, s.Handler(), goldenRequest(tc))
+		})
+	}
 }
 
-func TestGoldenV2(t *testing.T) {
-	runGolden(t, "v2_", goldenV2Cases(t))
+// goldenRequest builds a case's request (without its context).
+func goldenRequest(tc goldenCase) *http.Request {
+	var req *http.Request
+	if tc.body != "" {
+		req = httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
+		req.Header.Set("Content-Type", "application/json")
+	} else {
+		req = httptest.NewRequest(tc.method, tc.path, nil)
+	}
+	for k, v := range tc.header {
+		req.Header.Set(k, v)
+	}
+	return req
 }
 
 // goldenVolatile matches the wall-clock and timing values in a pinned
@@ -274,12 +287,13 @@ func TestGoldenV2(t *testing.T) {
 // to its key with a zero value.
 var goldenVolatile = regexp.MustCompile(`"(uptime_seconds|p99_pass_ms|since)":("[^"]*"|[0-9.e+-]+)`)
 
-// runGolden plays cases in order against one fresh server and compares
-// each exchange with testdata/golden/<prefix><name>.golden: status and
-// content type, the protocol headers a dialect may add, then the body.
-// The server-assigned request ID (unique per process) is rewritten to
-// REQ wherever it appears.
-func runGolden(t *testing.T, prefix string, cases []goldenCase) {
+// TestGoldenV2 plays goldenV2Cases in order against one fresh server
+// and compares each exchange with testdata/golden/v2_<name>.golden:
+// status and content type, the X-Request-Id and Retry-After headers,
+// then the body. The server-assigned request ID (unique per process) is
+// rewritten to REQ wherever it appears.
+func TestGoldenV2(t *testing.T) {
+	cases := goldenV2Cases(t)
 	s := newGoldenServer(t)
 	dir := filepath.Join("testdata", "golden")
 	if *updateGolden {
@@ -288,20 +302,11 @@ func runGolden(t *testing.T, prefix string, cases []goldenCase) {
 		}
 	}
 	for _, tc := range cases {
-		t.Run(prefix+tc.name, func(t *testing.T) {
+		t.Run("v2_"+tc.name, func(t *testing.T) {
 			if tc.drain {
 				s.StartDraining()
 			}
-			var req *http.Request
-			if tc.body != "" {
-				req = httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
-				req.Header.Set("Content-Type", "application/json")
-			} else {
-				req = httptest.NewRequest(tc.method, tc.path, nil)
-			}
-			for k, v := range tc.header {
-				req.Header.Set(k, v)
-			}
+			req := goldenRequest(tc)
 			if tc.ctx != nil {
 				ctx, cancel := tc.ctx()
 				defer cancel()
@@ -321,7 +326,7 @@ func runGolden(t *testing.T, prefix string, cases []goldenCase) {
 				got = strings.ReplaceAll(got, id, "REQ")
 			}
 			got = goldenVolatile.ReplaceAllString(got, `"$1":0`)
-			file := filepath.Join(dir, prefix+tc.name+".golden")
+			file := filepath.Join(dir, "v2_"+tc.name+".golden")
 			if *updateGolden {
 				if err := os.WriteFile(file, []byte(got), 0o644); err != nil {
 					t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"noble/internal/obs"
@@ -25,8 +24,6 @@ type Metrics struct {
 	mu        sync.Mutex
 	endpoints map[string]*endpointStats
 	batches   map[string]*batchKindStats
-
-	requestIDs atomic.Int64 // server-assigned request IDs handed out
 }
 
 // batchSizeBuckets are the upper bounds of the batch-size histogram:
@@ -212,9 +209,6 @@ func (m *Metrics) BatchDropped(kind string) int64 {
 	return s.dropped
 }
 
-// noteRequestID counts one server-assigned request ID.
-func (m *Metrics) noteRequestID() { m.requestIDs.Add(1) }
-
 // quantile returns the q-th quantile of vals (sorted in place).
 func quantile(vals []float64, q float64) float64 {
 	if len(vals) == 0 {
@@ -267,5 +261,4 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	for _, kind := range kinds {
 		f.Sample("", fmt.Sprintf("kind=%q", kind), m.batches[kind].dropped)
 	}
-	obs.Single(w, "noble_request_ids_assigned_total", "counter", "Server-assigned request IDs handed out (the /v2 X-Request-Id sequence).", m.requestIDs.Load())
 }

@@ -63,7 +63,7 @@ func TestBatchSnapshotHistogram(t *testing.T) {
 
 func TestPrometheusBatchSizeHistogram(t *testing.T) {
 	m := NewMetrics()
-	m.Observe("/v1/localize", 200, 3*time.Millisecond)
+	m.Observe("v2_localize", 200, 3*time.Millisecond)
 	m.ObserveBatch("localize", 3)
 	m.ObserveBatch("localize", 100)
 	var b strings.Builder

@@ -18,7 +18,9 @@ import (
 // Every metric family the server can emit has a row in the runbook's
 // alerting table, and the table names no family the server does not
 // emit: an operator paged by a series can look up what it means, and a
-// row that outlived its series is caught. The server is scraped with
+// row that outlived its series is caught. A row that spells out labels
+// (`noble_x{a,b}`) names only labels the family's samples carry, so a
+// query copied from the runbook selects something. The server is scraped with
 // every optional subsystem on — journal, tracer, a staged generation with
 // mirroring, the retrain manager (the real one: this external test
 // package may import it, and a stub would have to repeat its names).
@@ -48,6 +50,12 @@ func TestEveryMetricFamilyIsInTheRunbook(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
+	// One served request, so the request families carry samples.
+	if resp, err := http.Get(ts.URL + "/v2/models"); err != nil {
+		t.Fatal(err)
+	} else {
+		resp.Body.Close()
+	}
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -55,8 +63,22 @@ func TestEveryMetricFamilyIsInTheRunbook(t *testing.T) {
 	scrape, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	emitted := map[string]bool{}
-	for _, m := range regexp.MustCompile(`(?m)^# TYPE (noble_\w+) `).FindAllStringSubmatch(string(scrape), -1) {
-		emitted[m[1]] = true
+	samples := map[string][]string{} // family -> the label names of each of its samples
+	typeLine := regexp.MustCompile(`^# TYPE (noble_\w+) `)
+	sampleLine := regexp.MustCompile(`^noble_\w+(?:\{([^}]*)\})? `)
+	labelName := regexp.MustCompile(`(\w+)="`)
+	current := ""
+	for _, line := range strings.Split(string(scrape), "\n") {
+		if m := typeLine.FindStringSubmatch(line); m != nil {
+			current = m[1]
+			emitted[current] = true
+		} else if m := sampleLine.FindStringSubmatch(line); m != nil && current != "" {
+			var names []string
+			for _, l := range labelName.FindAllStringSubmatch(m[1], -1) {
+				names = append(names, l[1])
+			}
+			samples[current] = append(samples[current], ","+strings.Join(names, ",")+",")
+		}
 	}
 	if len(emitted) < 40 {
 		t.Fatalf("scrape shows only %d noble_* families; a subsystem is off", len(emitted))
@@ -72,10 +94,24 @@ func TestEveryMetricFamilyIsInTheRunbook(t *testing.T) {
 	}
 	documented := map[string]bool{}
 	family := regexp.MustCompile(`noble_\w+`)
+	spelled := regexp.MustCompile("`(noble_\\w+)\\{([^}]*)\\}`")
 	for _, line := range strings.Split(table, "\n") {
-		if cells := strings.Split(line, "|"); len(cells) > 2 { // | Family | Watch | It signals |
-			for _, name := range family.FindAllString(cells[1], -1) {
-				documented[name] = true
+		cells := strings.Split(line, "|")
+		if len(cells) <= 2 { // | Family | Watch | It signals |
+			continue
+		}
+		for _, name := range family.FindAllString(cells[1], -1) {
+			documented[name] = true
+		}
+		for _, m := range spelled.FindAllStringSubmatch(cells[1], -1) {
+			for _, label := range strings.Split(m[2], ",") {
+				label, _, _ = strings.Cut(strings.TrimSpace(label), "=")
+				for _, names := range samples[m[1]] {
+					if !strings.Contains(names, ","+label+",") {
+						t.Errorf("the alerting table writes %s, but a %s sample has no %q label (it has %s)", m[0], m[1], label, strings.Trim(names, ","))
+						break
+					}
+				}
 			}
 		}
 	}

@@ -236,7 +236,7 @@ func TestReloadPrecisionFlipUnderTraffic(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				resp, err := ts.Client().Post(ts.URL+"/v1/localize", "application/json", strings.NewReader(string(body)))
+				resp, err := ts.Client().Post(ts.URL+"/v2/localize", "application/json", strings.NewReader(string(body)))
 				if err != nil {
 					select {
 					case fail <- err.Error():

@@ -101,8 +101,8 @@ type ModelInfo struct {
 	SegmentDim  int `json:"segment_dim,omitempty"`
 
 	// Lifecycle carries the live evaluation evidence and promotion
-	// policy; populated by ListLifecycle (the /v2 and /debug views), not
-	// by the legacy /v1 listing.
+	// policy; populated by ListLifecycle (the /v2/models and /debug
+	// views).
 	Lifecycle *LifecycleInfo `json:"lifecycle,omitempty"`
 }
 
@@ -409,18 +409,6 @@ func (r *Registry) each(fn func(name string, d *deployment)) {
 	for _, name := range slices.Sorted(maps.Keys(r.deps)) {
 		fn(name, r.deps[name])
 	}
-}
-
-// List returns active-generation summaries sorted by name — the user
-// visible catalog (/v1/models).
-func (r *Registry) List() []ModelInfo {
-	out := []ModelInfo{}
-	r.each(func(_ string, d *deployment) {
-		if d.active != nil {
-			out = append(out, d.active.Info())
-		}
-	})
-	return out
 }
 
 // ListLifecycle returns the full deployment view: every live generation

@@ -11,15 +11,14 @@
 //
 //   - Engine is the transport-independent facade: it owns the registry,
 //     the batchers and the session store, and exposes Localize / Track /
-//     AppendSegments / Session / Models / Health as plain context-aware
-//     methods with typed errors (machine-readable codes + suggested HTTP
-//     statuses). Embedders and tests drive it directly.
+//     AppendSegments / Session / ModelsLifecycle / Health as plain
+//     context-aware methods with typed errors (machine-readable codes +
+//     suggested HTTP statuses). Embedders and tests drive it directly.
 //   - Server is the HTTP adapter over an Engine: one table of
-//     operations, each written once, mounted under every wire dialect.
-//     The /v1 dialect keeps the original free-text protocol
-//     byte-for-byte; /v2 adds the structured error envelope,
-//     server-assigned request IDs, per-request deadlines, and NDJSON
-//     streaming tracking. Golden-file tests pin the bytes of both.
+//     operations, each written once, mounted under /v2 — the structured
+//     error envelope, server-assigned request IDs, per-request
+//     deadlines, and NDJSON streaming tracking. Golden-file tests pin
+//     the bytes.
 //
 // The registry loads named model bundles (manifest.json + weights.gob,
 // written by WriteBundle / `noble-train -bundle`) from a directory and
@@ -50,7 +49,7 @@
 // canceled while queued is dropped before the pass fires, so abandoned
 // work never consumes forward-pass rows.
 //
-// Tracking sessions (POST /v{1,2}/sessions/{id}/segments) keep per-device
+// Tracking sessions (POST /v2/sessions/{id}/segments) keep per-device
 // path state server-side in a sharded, lock-striped store with TTL
 // eviction, so a device streams one IMU segment per request instead of
 // resending its whole path; see the session package.

@@ -101,37 +101,43 @@ func postJSON(t *testing.T, h http.Handler, path, body string) *httptest.Respons
 
 func TestLocalizeBadJSON(t *testing.T) {
 	s := newTestServer(t, 0)
-	w := postJSON(t, s.Handler(), "/v1/localize", "{not json")
+	w := postJSON(t, s.Handler(), "/v2/localize", "{not json")
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400; body %s", w.Code, w.Body)
 	}
-	var e apiError
-	if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
-		t.Fatalf("error body %q must carry a JSON error message", w.Body)
+	if e := decodeEnvelope(t, w.Body.Bytes()); e.Code != CodeBadBody || e.Message == "" || e.RequestID == "" {
+		t.Fatalf("error %+v, want bad_body with a message and request ID", e)
 	}
 }
 
 func TestLocalizeUnknownModel(t *testing.T) {
 	s := newTestServer(t, 0)
-	w := postJSON(t, s.Handler(), "/v1/localize", `{"model":"nope","fingerprints":[[0.1]]}`)
+	w := postJSON(t, s.Handler(), "/v2/localize", `{"model":"nope","fingerprints":[[0.1]]}`)
 	if w.Code != http.StatusNotFound {
 		t.Fatalf("status %d, want 404; body %s", w.Code, w.Body)
+	}
+	if e := decodeEnvelope(t, w.Body.Bytes()); e.Code != CodeModelNotFound {
+		t.Fatalf("code %q, want model_not_found", e.Code)
 	}
 }
 
 func TestLocalizeWrongKindAndBadDims(t *testing.T) {
 	s := newTestServer(t, 0)
-	w := postJSON(t, s.Handler(), "/v1/localize", `{"model":"imu-test","fingerprints":[[0.1]]}`)
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("wrong kind: status %d, want 400", w.Code)
-	}
-	w = postJSON(t, s.Handler(), "/v1/localize", `{"model":"wifi-test","fingerprints":[[0.1,0.2]]}`)
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("bad dims: status %d, want 400; body %s", w.Code, w.Body)
-	}
-	w = postJSON(t, s.Handler(), "/v1/localize", `{"model":"wifi-test","fingerprints":[]}`)
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("empty: status %d, want 400", w.Code)
+	for _, tc := range []struct {
+		name, body string
+		code       Code
+	}{
+		{"wrong kind", `{"model":"imu-test","fingerprints":[[0.1]]}`, CodeWrongModelKind},
+		{"bad dims", `{"model":"wifi-test","fingerprints":[[0.1,0.2]]}`, CodeBadFingerprint},
+		{"empty", `{"model":"wifi-test","fingerprints":[]}`, CodeBadFingerprint},
+	} {
+		w := postJSON(t, s.Handler(), "/v2/localize", tc.body)
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400; body %s", tc.name, w.Code, w.Body)
+		}
+		if e := decodeEnvelope(t, w.Body.Bytes()); e.Code != tc.code {
+			t.Fatalf("%s: code %q, want %q", tc.name, e.Code, tc.code)
+		}
 	}
 }
 
@@ -143,7 +149,7 @@ func TestLocalizeHappyPath(t *testing.T) {
 		req.Fingerprints = append(req.Fingerprints, smp.Features)
 	}
 	raw, _ := json.Marshal(req)
-	w := postJSON(t, s.Handler(), "/v1/localize", string(raw))
+	w := postJSON(t, s.Handler(), "/v2/localize", string(raw))
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d; body %s", w.Code, w.Body)
 	}
@@ -175,7 +181,7 @@ func TestTrackHappyPath(t *testing.T) {
 		})
 	}
 	raw, _ := json.Marshal(req)
-	w := postJSON(t, s.Handler(), "/v1/track", string(raw))
+	w := postJSON(t, s.Handler(), "/v2/track", string(raw))
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d; body %s", w.Code, w.Body)
 	}
@@ -194,17 +200,20 @@ func TestTrackHappyPath(t *testing.T) {
 
 func TestTrackRejectsBadFeatureLength(t *testing.T) {
 	s := newTestServer(t, 0)
-	w := postJSON(t, s.Handler(), "/v1/track",
+	w := postJSON(t, s.Handler(), "/v2/track",
 		`{"model":"imu-test","paths":[{"start":{"x":0,"y":0},"features":[1,2,3]}]}`)
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400; body %s", w.Code, w.Body)
+	}
+	if e := decodeEnvelope(t, w.Body.Bytes()); e.Code != CodeBadPath {
+		t.Fatalf("code %q, want bad_path", e.Code)
 	}
 }
 
 func TestModelsHealthzMetrics(t *testing.T) {
 	s := newTestServer(t, 0)
 	w := httptest.NewRecorder()
-	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/models", nil))
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v2/models", nil))
 	if w.Code != http.StatusOK {
 		t.Fatalf("models: status %d", w.Code)
 	}
@@ -235,7 +244,7 @@ func TestModelsHealthzMetrics(t *testing.T) {
 	}
 
 	// One request so the counters are non-empty, then scrape.
-	postJSON(t, s.Handler(), "/v1/localize", `{"model":"nope","fingerprints":[[0.1]]}`)
+	postJSON(t, s.Handler(), "/v2/localize", `{"model":"nope","fingerprints":[[0.1]]}`)
 	w = httptest.NewRecorder()
 	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if w.Code != http.StatusOK {
@@ -243,7 +252,7 @@ func TestModelsHealthzMetrics(t *testing.T) {
 	}
 	body := w.Body.String()
 	for _, want := range []string{
-		`noble_requests_total{endpoint="localize",code="404"} 1`,
+		`noble_requests_total{endpoint="v2_localize",code="404"} 1`,
 		"noble_request_latency_seconds",
 		"noble_batch_size_count",
 	} {
@@ -287,7 +296,7 @@ func batchedLocalizeMatchesUnbatched(t *testing.T, n int) {
 				Fingerprints: [][]float64{sample(i)},
 			})
 			<-start
-			w := postJSON(t, s.Handler(), "/v1/localize", string(raw))
+			w := postJSON(t, s.Handler(), "/v2/localize", string(raw))
 			codes[i] = w.Code
 			var resp LocalizeResponse
 			if err := json.Unmarshal(w.Body.Bytes(), &resp); err == nil && len(resp.Results) == 1 {
@@ -296,7 +305,7 @@ func batchedLocalizeMatchesUnbatched(t *testing.T, n int) {
 		}(i)
 	}
 	holder, _ := json.Marshal(LocalizeRequest{Model: "wifi-test", Fingerprints: [][]float64{sample(0)}})
-	release := holdPass(t, g, func() int { return postJSON(t, s.Handler(), "/v1/localize", string(holder)).Code })
+	release := holdPass(t, g, func() int { return postJSON(t, s.Handler(), "/v2/localize", string(holder)).Code })
 	close(start)
 	rideOnePass(t, g, s.engine.wifiBatcher, "wifi-test", n, release)
 	wg.Wait()

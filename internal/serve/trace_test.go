@@ -173,7 +173,7 @@ func TestDebugTracesEndToEnd(t *testing.T) {
 	locBody, _ := json.Marshal(LocalizeRequest{
 		Model: "wifi-test", Fingerprints: [][]float64{wifiDS.Test[0].Features},
 	})
-	lw := postTraced(t, h, "/v1/localize", string(locBody), "trace-localize")
+	lw := postTraced(t, h, "/v2/localize", string(locBody), "trace-localize")
 	if lw.Code != http.StatusOK {
 		t.Fatalf("localize: %d %s", lw.Code, lw.Body)
 	}
@@ -186,7 +186,7 @@ func TestDebugTracesEndToEnd(t *testing.T) {
 		Model: "imu-test",
 		Paths: []TrackPath{{Start: XY{X: p.Start.X, Y: p.Start.Y}, Features: p.Features}},
 	})
-	tw := postTraced(t, h, "/v1/track", string(trkBody), "trace-track")
+	tw := postTraced(t, h, "/v2/track", string(trkBody), "trace-track")
 	if tw.Code != http.StatusOK {
 		t.Fatalf("track: %d %s", tw.Code, tw.Body)
 	}
@@ -194,7 +194,7 @@ func TestDebugTracesEndToEnd(t *testing.T) {
 	sesBody, _ := json.Marshal(SessionSegmentsRequest{
 		Model: "imu-test", Start: &XY{}, Features: segFeatures(t, 2),
 	})
-	sw := postTraced(t, h, "/v1/sessions/dev-trace/segments", string(sesBody), "trace-session")
+	sw := postTraced(t, h, "/v2/sessions/dev-trace/segments", string(sesBody), "trace-session")
 	if sw.Code != http.StatusOK {
 		t.Fatalf("session append: %d %s", sw.Code, sw.Body)
 	}
@@ -256,7 +256,7 @@ func TestMetricsExposesStageHistograms(t *testing.T) {
 	locBody, _ := json.Marshal(LocalizeRequest{
 		Model: "wifi-test", Fingerprints: [][]float64{wifiDS.Test[0].Features},
 	})
-	if w := postJSON(t, h, "/v1/localize", string(locBody)); w.Code != http.StatusOK {
+	if w := postJSON(t, h, "/v2/localize", string(locBody)); w.Code != http.StatusOK {
 		t.Fatalf("localize: %d %s", w.Code, w.Body)
 	}
 	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)

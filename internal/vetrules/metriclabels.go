@@ -16,8 +16,8 @@ import (
 // string literals and constants, possibly flowing through in-package
 // parameters and struct fields whose writers are themselves all
 // bounded (e.g. Batcher.kind, set once from a literal in NewEngine, or
-// an endpoint label, concatenated in mount from the dialect and
-// operation tables' literal fields).
+// an endpoint label, the operation table's literal metric field, read
+// in mount).
 //
 // Sinks: Metrics.Observe / ObserveBatch / ObserveBatchFire /
 // ObserveBatchDrop / registerBatchKind (label is argument 0) and obs.Begin / AddSpan /
