@@ -39,6 +39,7 @@ type StreamError struct {
 // Send and Recv may run from different goroutines (one each).
 type TrackStream struct {
 	pw   *io.PipeWriter
+	stop func() bool // unregisters the pipe's close on ctx end
 	resp *http.Response
 	dec  *json.Decoder
 
@@ -57,18 +58,25 @@ func (c *Client) TrackStream(ctx context.Context, open StreamOpen) (*TrackStream
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/x-ndjson")
+	// The body is open-ended, so nothing but ctx ends a request whose
+	// server never reads it (one that answers 404 without reading is
+	// left draining the body, and the transport waits on its writer):
+	// when ctx ends, the pipe fails and so does every wait on it.
+	stop := context.AfterFunc(ctx, func() { pw.CloseWithError(ctx.Err()) })
 	resp, err := c.hc.Do(req)
 	if err != nil {
+		stop()
 		pw.Close()
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 		resp.Body.Close()
+		stop()
 		pw.Close()
 		return nil, parseAPIError(resp.StatusCode, raw)
 	}
-	st := &TrackStream{pw: pw, resp: resp, dec: json.NewDecoder(resp.Body), enc: json.NewEncoder(pw)}
+	st := &TrackStream{pw: pw, stop: stop, resp: resp, dec: json.NewDecoder(resp.Body), enc: json.NewEncoder(pw)}
 	if err := st.encode(open); err != nil {
 		st.Close()
 		return nil, err
@@ -115,6 +123,7 @@ func (s *TrackStream) CloseSend() error { return s.pw.Close() }
 
 // Close tears the stream down entirely.
 func (s *TrackStream) Close() error {
+	s.stop()
 	s.pw.Close()
 	return s.resp.Body.Close()
 }

@@ -67,10 +67,11 @@ func perfShapeWiFi() *WiFiModel {
 }
 
 // benchmarkWiFiPredictRows is one PredictBatch pass of the given size at
-// the perf shape, weights packed as serve packs them, over fingerprints
-// with ~30% of WAPs heard. One to four rows are the passes a lone device
-// and an open-loop fleet produce, which mat.MatMulInto serves with the
-// row-sweep kernels (mat.BenchmarkGemmB1–4 has the kernels alone); 8 to
+// the perf shape, weights packed and the fine head screened as serve
+// builds them, over fingerprints with ~30% of WAPs heard. One to four
+// rows are the passes a lone device and an open-loop fleet produce: the
+// trunk runs on mat.MatMulInto's row-sweep kernels (mat.BenchmarkGemmB1–4
+// has the kernels alone) and the fine class comes from the screen; 8 to
 // 32 rows are a localize_bulk request's pass and the chunk sizes
 // splitPass could cut it into — run them at -cpu 1,2 to see the one-core
 // rate per chunk size and what the second core buys a split pass. gflop/s
@@ -78,6 +79,7 @@ func perfShapeWiFi() *WiFiModel {
 func benchmarkWiFiPredictRows(b *testing.B, size int) {
 	m := perfShapeWiFi()
 	m.PackWeights()
+	m.ScreenFineHead()
 	rng := rand.New(rand.NewSource(7))
 	rows := make([][]float64, size)
 	for i := range rows {

@@ -16,6 +16,11 @@ import (
 // on a 2-vCPU Xeon VM; docs/measurements/pr25-two-core-pass.md). At 16,
 // a lone device's passes and an open-loop fleet's (1.4 rows on average at
 // 2000 fingerprints/s) are one chunk and run exactly the one-core code.
+// Splitting those short passes does not pay either: a prototype that
+// split each Dense layer's columns across two cores on this file's
+// pattern saw its helper run 103 of 10,000 chunks and the pass get no
+// faster — a goroutine started toward the idle second vCPU began after
+// 62 µs at p10 and ~2 ms at the median, longer than a whole lone pass.
 const passChunkRows = 16
 
 // splitPass runs run over the rows [0, n) of one forward pass in chunks

@@ -235,10 +235,37 @@ func (m *WiFiModel) PredictMatrix(x *mat.Dense) []WiFiPrediction {
 }
 
 // predictInto runs one forward pass over x and decodes row i into preds[i].
+// An fp64 pass runs only the heads it decodes — fine, building, floor;
+// the coarse head is read by PredictBatchHierarchical alone — and a pass
+// under mat.PackedMinRows rows takes the fine class from the head's
+// screen where the owner built one (ScreenFineHead): the same class,
+// without computing the fine logits in fp64.
 func (m *WiFiModel) predictInto(preds []WiFiPrediction, x *mat.Dense) {
-	outs := m.headOutputs(x)
+	var (
+		outs []*mat.Dense
+		fine []int // the fine classes, when the screen answered them
+	)
+	if m.qnet != nil {
+		outs = m.headOutputs(x)
+	} else {
+		outs = make([]*mat.Dense, len(m.net.Heads))
+		emb := m.net.Trunk.Forward(x, false)
+		for _, h := range []int{m.buildingHead, m.floorHead} {
+			if h >= 0 {
+				outs[h] = m.net.Heads[h].Layer.Forward(emb, false)
+			}
+		}
+		if fine = m.fineLayer().ScreenedArgMax(emb); fine == nil {
+			outs[m.fineHead] = m.net.Heads[m.fineHead].Layer.Forward(emb, false)
+		}
+	}
 	for i := range preds {
-		cls := mat.ArgMax(outs[m.fineHead].Row(i))
+		var cls int
+		if fine != nil {
+			cls = fine[i]
+		} else {
+			cls = mat.ArgMax(outs[m.fineHead].Row(i))
+		}
 		p := WiFiPrediction{Class: cls, Pos: m.Grids.Fine.Decode(cls)}
 		if m.buildingHead >= 0 {
 			p.Building = mat.ArgMax(outs[m.buildingHead].Row(i))
@@ -249,6 +276,9 @@ func (m *WiFiModel) predictInto(preds []WiFiPrediction, x *mat.Dense) {
 		preds[i] = p
 	}
 }
+
+// fineLayer is the fine head's projection.
+func (m *WiFiModel) fineLayer() *nn.Dense { return m.net.Heads[m.fineHead].Layer.(*nn.Dense) }
 
 // PredictBatch runs inference on a batch of normalized fingerprints given
 // as raw feature rows. The rows are packed into a single matrix and pushed
@@ -294,6 +324,25 @@ func (m *WiFiModel) PackWeights() {
 // PackedBytes reports the memory the packed copy holds: 0 until
 // PackWeights, and again after Load or training.
 func (m *WiFiModel) PackedBytes() int { return nn.PackedBytes(m.net.Params()) }
+
+// ScreenFineHead builds the fine head's screen (mat.Screen): an fp32
+// copy of its weights with a per-class error bound, from which fp64
+// passes of 1–4 rows take their fine class — the same class, bit for
+// bit (DESIGN.md §2) — reading half the bytes the fp64 head would. It
+// costs ~1 MB at the perf shape's 256×1002 head and about a millisecond,
+// so like PackWeights it is the caller's decision: serve builds it on a
+// placed model's first pass. Idempotent and safe alongside concurrent
+// Predict calls; Load and training drop it; a no-op on an int8 model and
+// on hosts without the AVX sweep.
+func (m *WiFiModel) ScreenFineHead() {
+	if m.qnet == nil {
+		m.fineLayer().Screen()
+	}
+}
+
+// ScreenBytes reports the memory the fine head's screen holds: 0 until
+// ScreenFineHead, and again after Load or training.
+func (m *WiFiModel) ScreenBytes() int { return nn.ScreenBytes(m.fineLayer().Params()) }
 
 // InputDim returns the fingerprint dimensionality (number of WAPs) the
 // model consumes.

@@ -6,8 +6,8 @@ package mat
 // the row sweep (gemm_amd64.s) — on runtime CPU support: AVX
 // must be present and the OS must save the YMM state (OSXSAVE +
 // XCR0[2:1] = 11). The kernels use only AVX1 instructions (VBROADCASTSD
-// from memory, VMULPD/VMULSD, VADDPD/VADDSD, VMOVUPD/VMOVSD), so FMA/AVX2
-// are not required — deliberately: keeping multiplies and adds un-fused
+// from memory, VMULPD/VMULSD, VADDPD/VADDSD, VMOVUPD/VMOVSD, and their
+// fp32 forms in the screen's sweep), so FMA/AVX2 are not required — deliberately: keeping multiplies and adds un-fused
 // preserves the exact double-rounded semantics of the pure-Go kernels,
 // so results are bit-identical whichever path runs.
 var useAVXGemm = detectAVX()
@@ -72,3 +72,11 @@ func rowSweep4x2avx(n int, d0, d1, b0, b1, b2, b3, a0, a1 *float64)
 //
 //go:noescape
 func rowSweep1avx(n int, d, b *float64, a float64)
+
+// rowSweep4avx32 is rowSweep4avx in fp32 — VMULPS/VADDPS, eight columns
+// per register — for the class-head screen (Screen.ArgMax), whose error
+// bound covers its rounding: d[j] += a[0]*b0[j] + … + a[3]*b3[j], left
+// to right, for j in [0, n).
+//
+//go:noescape
+func rowSweep4avx32(n int, d, b0, b1, b2, b3, a *float32)

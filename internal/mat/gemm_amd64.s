@@ -5,8 +5,10 @@
 // 8×4 block of the output in YMM registers while it walks down b one
 // row per k step (every pass of five rows or more). The row sweep —
 // rowSweep4avx, rowSweep4x2avx, rowSweep1avx — keeps four k in registers
-// while it walks along b's rows (passes of one to four rows). Go
-// declarations and measured rates: gemm_amd64.go, matMulRows.
+// while it walks along b's rows (passes of one to four rows);
+// rowSweep4avx32 is its fp32 form, which scores the class-head screen
+// (screen.go). Go declarations and measured rates: gemm_amd64.go,
+// matMulRows.
 
 #include "textflag.h"
 
@@ -421,5 +423,130 @@ sweep1cols1loop:
 	JLT  sweep1cols1loop
 
 sweep1done:
+	VZEROUPPER
+	RET
+
+// func rowSweep4avx32(n int, d, b0, b1, b2, b3, a *float32)
+//
+// rowSweep4avx in fp32, for the class-head screen (screen.go): the same
+// left-to-right sweep over four b rows, four k broadcast in Y12..Y15,
+// with VMULPS/VADDPS on eight columns per register —
+//
+//	d[j] = (((d[j] + a[0]·b0[j]) + a[1]·b1[j]) + a[2]·b2[j]) + a[3]·b3[j]
+//
+// rounded to fp32 at every multiply and add. Thirty-two columns per step
+// (Y0..Y3), then eight at a time, then the last n%8 with the scalar
+// forms. Its sums are scores, not answers: Screen.ArgMax bounds their
+// error and recomputes in fp64 every column the bound cannot rule out.
+TEXT ·rowSweep4avx32(SB), NOSPLIT, $0-56
+	MOVQ n+0(FP), CX
+	MOVQ d+8(FP), DI
+	MOVQ b0+16(FP), R8
+	MOVQ b1+24(FP), R9
+	MOVQ b2+32(FP), R10
+	MOVQ b3+40(FP), R11
+	MOVQ a+48(FP), AX
+	VBROADCASTSS (AX), Y12
+	VBROADCASTSS 4(AX), Y13
+	VBROADCASTSS 8(AX), Y14
+	VBROADCASTSS 12(AX), Y15
+	XORQ SI, SI            // column index
+
+	MOVQ CX, DX
+	ANDQ $~31, DX          // end of the thirty-two-column steps
+	CMPQ SI, DX
+	JGE  sweep32cols8
+
+sweep32cols32:
+	VMOVUPS (DI)(SI*4), Y0
+	VMOVUPS 32(DI)(SI*4), Y1
+	VMOVUPS 64(DI)(SI*4), Y2
+	VMOVUPS 96(DI)(SI*4), Y3
+
+	VMULPS (R8)(SI*4), Y12, Y4
+	VMULPS 32(R8)(SI*4), Y12, Y5
+	VMULPS 64(R8)(SI*4), Y12, Y6
+	VMULPS 96(R8)(SI*4), Y12, Y7
+	VADDPS Y4, Y0, Y0
+	VADDPS Y5, Y1, Y1
+	VADDPS Y6, Y2, Y2
+	VADDPS Y7, Y3, Y3
+
+	VMULPS (R9)(SI*4), Y13, Y4
+	VMULPS 32(R9)(SI*4), Y13, Y5
+	VMULPS 64(R9)(SI*4), Y13, Y6
+	VMULPS 96(R9)(SI*4), Y13, Y7
+	VADDPS Y4, Y0, Y0
+	VADDPS Y5, Y1, Y1
+	VADDPS Y6, Y2, Y2
+	VADDPS Y7, Y3, Y3
+
+	VMULPS (R10)(SI*4), Y14, Y4
+	VMULPS 32(R10)(SI*4), Y14, Y5
+	VMULPS 64(R10)(SI*4), Y14, Y6
+	VMULPS 96(R10)(SI*4), Y14, Y7
+	VADDPS Y4, Y0, Y0
+	VADDPS Y5, Y1, Y1
+	VADDPS Y6, Y2, Y2
+	VADDPS Y7, Y3, Y3
+
+	VMULPS (R11)(SI*4), Y15, Y4
+	VMULPS 32(R11)(SI*4), Y15, Y5
+	VMULPS 64(R11)(SI*4), Y15, Y6
+	VMULPS 96(R11)(SI*4), Y15, Y7
+	VADDPS Y4, Y0, Y0
+	VADDPS Y5, Y1, Y1
+	VADDPS Y6, Y2, Y2
+	VADDPS Y7, Y3, Y3
+
+	VMOVUPS Y0, (DI)(SI*4)
+	VMOVUPS Y1, 32(DI)(SI*4)
+	VMOVUPS Y2, 64(DI)(SI*4)
+	VMOVUPS Y3, 96(DI)(SI*4)
+	ADDQ $32, SI
+	CMPQ SI, DX
+	JLT  sweep32cols32
+
+sweep32cols8:
+	MOVQ CX, DX
+	ANDQ $~7, DX           // end of the eight-column steps
+	CMPQ SI, DX
+	JGE  sweep32cols1
+
+sweep32cols8loop:
+	VMOVUPS (DI)(SI*4), Y0
+	VMULPS (R8)(SI*4), Y12, Y4
+	VADDPS Y4, Y0, Y0
+	VMULPS (R9)(SI*4), Y13, Y4
+	VADDPS Y4, Y0, Y0
+	VMULPS (R10)(SI*4), Y14, Y4
+	VADDPS Y4, Y0, Y0
+	VMULPS (R11)(SI*4), Y15, Y4
+	VADDPS Y4, Y0, Y0
+	VMOVUPS Y0, (DI)(SI*4)
+	ADDQ $8, SI
+	CMPQ SI, DX
+	JLT  sweep32cols8loop
+
+sweep32cols1:
+	CMPQ SI, CX
+	JGE  sweep32done
+
+sweep32cols1loop:
+	VMOVSS (DI)(SI*4), X0
+	VMULSS (R8)(SI*4), X12, X4
+	VADDSS X4, X0, X0
+	VMULSS (R9)(SI*4), X13, X4
+	VADDSS X4, X0, X0
+	VMULSS (R10)(SI*4), X14, X4
+	VADDSS X4, X0, X0
+	VMULSS (R11)(SI*4), X15, X4
+	VADDSS X4, X0, X0
+	VMOVSS X0, (DI)(SI*4)
+	INCQ SI
+	CMPQ SI, CX
+	JLT  sweep32cols1loop
+
+sweep32done:
 	VZEROUPPER
 	RET

@@ -24,3 +24,7 @@ func rowSweep4x2avx(n int, d0, d1, b0, b1, b2, b3, a0, a1 *float64) {
 func rowSweep1avx(n int, d, b *float64, a float64) {
 	panic("mat: rowSweep1avx called on non-amd64 build")
 }
+
+func rowSweep4avx32(n int, d, b0, b1, b2, b3, a *float32) {
+	panic("mat: rowSweep4avx32 called on non-amd64 build")
+}

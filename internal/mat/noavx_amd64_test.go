@@ -32,3 +32,21 @@ func TestPackedMatchesRowKernelWithoutAVX(t *testing.T) {
 func TestRowSweepMatchesReferenceWithoutAVX(t *testing.T) {
 	withoutAVX(t, testRowSweepMatchesReference)
 }
+
+// Without the AVX sweep there is no fp32 kernel: NewScreen builds
+// nothing, every row goes back to the fp64 product, and no case may
+// answer wrongly on the way.
+func TestScreenArgMaxWithoutAVX(t *testing.T) {
+	withoutAVX(t, func(t *testing.T) {
+		w := New(16, 24)
+		FillNormal(w, NewRand(3), 0, 1)
+		s := NewScreen(w)
+		if s.Bytes() != 0 {
+			t.Fatalf("built a %d-byte screen with no kernel to read it", s.Bytes())
+		}
+		if _, ok := s.ArgMax(make([]float64, 16), make([]float64, 24)); ok {
+			t.Fatal("a screen that was never built answered")
+		}
+		testScreenArgMaxMatchesReference(t)
+	})
+}

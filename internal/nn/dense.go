@@ -62,7 +62,7 @@ func (d *Dense) Forward(x *mat.Dense, train bool) *mat.Dense {
 	}
 	if train {
 		d.x = x
-		d.Weight.packed.Store(nil)
+		d.Weight.dropCopies()
 	}
 	out := mat.New(x.Rows, d.Out)
 	if p := d.Weight.packed.Load(); p != nil {
@@ -76,6 +76,31 @@ func (d *Dense) Forward(x *mat.Dense, train bool) *mat.Dense {
 
 // Pack builds the packed copy of the weight matrix (see Param.Pack).
 func (d *Dense) Pack() { d.Weight.Pack() }
+
+// Screen builds the screen of the weight matrix (see Param.Screen).
+func (d *Dense) Screen() { d.Weight.Screen() }
+
+// ScreenedArgMax returns the argmax of each row of Forward(x, false) —
+// mat.ArgMax's answer on those logits, bit for bit — without computing
+// the logits, or nil. It answers passes under mat.PackedMinRows rows
+// from the screen the owner built (Screen); with no screen, a larger
+// pass, or a row the screen hands back (mat.Screen.ArgMax), it returns
+// nil and the caller runs Forward.
+func (d *Dense) ScreenedArgMax(x *mat.Dense) []int {
+	s := d.Weight.screen.Load()
+	if s == nil || x.Rows >= mat.PackedMinRows {
+		return nil
+	}
+	classes := make([]int, x.Rows)
+	for i := range classes {
+		c, ok := s.ArgMax(x.Row(i), d.Bias.W.Data)
+		if !ok {
+			return nil
+		}
+		classes[i] = c
+	}
+	return classes
+}
 
 // Backward accumulates dW = xᵀ·dout and db = Σ dout, returning dx = dout·Wᵀ.
 func (d *Dense) Backward(dout *mat.Dense) *mat.Dense {

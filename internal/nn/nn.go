@@ -35,12 +35,21 @@ type Param struct {
 	G    *mat.Dense
 
 	// packed is the panel-layout copy of W that batched inference
-	// multiplies by (mat.Packed), or nil. It is a snapshot, so everything
-	// in this package that writes W drops it first or after — a training
-	// Forward, an optimizer Step, LoadParams — and inference only ever
-	// loads the pointer; only Pack, which no inference or training entry
-	// point calls, builds one.
+	// multiplies by (mat.Packed), or nil; screen is the fp32 copy a
+	// class head's 1–4-row passes find their argmax with (mat.Screen), or
+	// nil. Both are snapshots, so everything in this package that writes
+	// W drops them first or after (dropCopies) — a training Forward, an
+	// optimizer Step, LoadParams — and inference only ever loads the
+	// pointers; only Pack and Screen, which no inference or training
+	// entry point calls, build them.
 	packed atomic.Pointer[mat.Packed]
+	screen atomic.Pointer[mat.Screen]
+}
+
+// dropCopies forgets every copy of W: the next inference reads W itself.
+func (p *Param) dropCopies() {
+	p.packed.Store(nil)
+	p.screen.Store(nil)
 }
 
 // Pack builds the packed copy of W that Dense.Forward(x, false) reads
@@ -53,6 +62,17 @@ type Param struct {
 func (p *Param) Pack() {
 	if p.packed.Load() == nil {
 		p.packed.Store(mat.Pack(p.W))
+	}
+}
+
+// Screen builds the screen of W (mat.Screen) that
+// Dense.ScreenedArgMax answers 1–4-row passes from, unless one is
+// current. It costs an fp32 copy of W, half W's size, and a pass over
+// W; like Pack it is the owner's call, safe while other goroutines run
+// inference on the parameter, not while one trains.
+func (p *Param) Screen() {
+	if p.screen.Load() == nil {
+		p.screen.Store(mat.NewScreen(p.W))
 	}
 }
 
@@ -110,6 +130,18 @@ func PackedBytes(params []*Param) int {
 	for _, p := range params {
 		if pk := p.packed.Load(); pk != nil {
 			n += pk.Bytes()
+		}
+	}
+	return n
+}
+
+// ScreenBytes returns the memory held by the screens (Param.Screen) of
+// params: 0 when none is built.
+func ScreenBytes(params []*Param) int {
+	n := 0
+	for _, p := range params {
+		if s := p.screen.Load(); s != nil {
+			n += s.Bytes()
 		}
 	}
 	return n

@@ -41,7 +41,7 @@ func (o *SGD) Step(params []*Param) {
 			v = make([]float64, len(p.W.Data))
 			o.velocity[p] = v
 		}
-		p.packed.Store(nil)
+		p.dropCopies()
 		for i := range p.W.Data {
 			g := p.G.Data[i] + o.WeightDecay*p.W.Data[i]
 			v[i] = o.Momentum*v[i] - o.LR*g
@@ -89,7 +89,7 @@ func (o *Adam) Step(params []*Param) {
 			o.v[p] = make([]float64, len(p.W.Data))
 		}
 		v := o.v[p]
-		p.packed.Store(nil)
+		p.dropCopies()
 		for i := range p.W.Data {
 			g := p.G.Data[i]
 			if o.WeightDecay != 0 {

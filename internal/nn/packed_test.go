@@ -94,19 +94,88 @@ func TestPackedCopyDroppedWheneverWeightsMove(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			net, x := packedNet(7)
-			twin, _ := packedNet(7) // never packed
+			twin, _ := packedNet(7) // never packed or screened
 			net.Pack()
-			if PackedBytes(net.Params()) == 0 {
-				t.Skip("no packed layout on this host")
+			screenAll(net)
+			if PackedBytes(net.Params()) == 0 || ScreenBytes(net.Params()) == 0 {
+				t.Skip("no packed layout or screen on this host")
 			}
 			move(net, twin, x)
 			if n := PackedBytes(net.Params()); n != 0 {
 				t.Fatalf("%d packed bytes survived", n)
 			}
+			if n := ScreenBytes(net.Params()); n != 0 {
+				t.Fatalf("%d screen bytes survived", n)
+			}
 			sameBits(t, "inference after the move", net.Forward(x, false), twin.Forward(x, false))
+			sameHeadClasses(t, "argmax after the move", net, twin)
 			net.Pack()
+			screenAll(net)
 			sameBits(t, "inference after re-packing", net.Forward(x, false), twin.Forward(x, false))
+			sameHeadClasses(t, "argmax after re-screening", net, twin)
 		})
+	}
+}
+
+// screenAll builds the screen of every dense weight matrix of net.
+func screenAll(net *Sequential) {
+	for _, l := range net.Layers {
+		switch l := l.(type) {
+		case *Dense:
+			l.Screen()
+		case *BlockDense:
+			l.Inner.Screen()
+		}
+	}
+}
+
+// sameHeadClasses fails unless net's head answers 1–4-row passes with
+// the argmax twin's plain forward gives — from its screen where one is
+// current (a stale one would answer from the old weights).
+func sameHeadClasses(t *testing.T, what string, net, twin *Sequential) {
+	t.Helper()
+	head, twinHead := net.Layers[len(net.Layers)-1].(*Dense), twin.Layers[len(twin.Layers)-1].(*Dense)
+	x := mat.New(4, head.In)
+	mat.FillNormal(x, mat.NewRand(11), 0, 1)
+	for rows := 1; rows <= x.Rows; rows++ {
+		xb := mat.FromSlice(rows, x.Cols, x.Data[:rows*x.Cols])
+		classes := head.ScreenedArgMax(xb)
+		if classes == nil {
+			classes = make([]int, rows)
+			for i := range classes {
+				classes[i] = mat.ArgMax(head.Forward(xb, false).Row(i))
+			}
+		}
+		want := twinHead.Forward(xb, false)
+		for i, c := range classes {
+			if w := mat.ArgMax(want.Row(i)); c != w {
+				t.Fatalf("%s: %d-row pass, row %d: class %d, the twin's logits give %d", what, rows, i, c, w)
+			}
+		}
+	}
+}
+
+// The screen answers exactly what the logits would, and only the
+// passes it is for: under mat.PackedMinRows rows, once built.
+func TestScreenedArgMaxMatchesForward(t *testing.T) {
+	net, _ := packedNet(5)
+	head := net.Layers[len(net.Layers)-1].(*Dense)
+	x := mat.New(mat.PackedMinRows, head.In)
+	mat.FillNormal(x, mat.NewRand(2), 0, 1)
+	one := mat.FromSlice(1, x.Cols, x.Data[:x.Cols])
+	if head.ScreenedArgMax(one) != nil {
+		t.Fatal("answered before the owner built a screen")
+	}
+	head.Screen()
+	if ScreenBytes(head.Params()) == 0 {
+		t.Skip("no screen on this host")
+	}
+	if head.ScreenedArgMax(x) != nil {
+		t.Fatalf("answered a %d-row pass, which the packed panels serve", x.Rows)
+	}
+	sameHeadClasses(t, "screened", net, net)
+	if head.ScreenedArgMax(one) == nil {
+		t.Fatal("the screen did not answer a lone row")
 	}
 }
 

@@ -34,7 +34,8 @@ func SaveParams(w io.Writer, params []*Param) error {
 // is exact only over finite weights, so an Inf or NaN would make answers
 // depend on batch size. Any violation is an error; validation happens
 // before any write, so a refused snapshot leaves params as they were.
-// Packed copies of the overwritten values (Param.Pack) are dropped.
+// Packed copies and screens of the overwritten values (Param.Pack,
+// Param.Screen) are dropped.
 func LoadParams(r io.Reader, params []*Param) error {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -63,7 +64,7 @@ func LoadParams(r io.Reader, params []*Param) error {
 		}
 	}
 	for i, p := range params {
-		p.packed.Store(nil)
+		p.dropCopies()
 		copy(p.W.Data, snap.Values[i])
 	}
 	return nil

@@ -172,9 +172,10 @@ func (e *Engine) resolveModel(name, kind string) (*Model, *Error) {
 // generation-qualified key (see genKey) so they coalesce into their own
 // passes on the exact staged generation — and go unanswered once it is
 // retired. Per-row pass latency is recorded on the generation, feeding
-// the p99 the promotion policy bounds. The model's first pass of
-// mat.PackedMinRows rows or more also builds its packed weight copy
-// (Model.packFor), inside the timed span: the caller waits for it.
+// the p99 the promotion policy bounds. The model's first pass also
+// builds its fine-head screen, and its first pass of mat.PackedMinRows
+// rows or more its packed weight copy (Model.packFor), inside the timed
+// span: the caller waits for them.
 func (e *Engine) predictWiFiBatch(model string, rows [][]float64) ([]core.WiFiPrediction, error) {
 	m, ok := e.reg.ResolveGen(model)
 	if !ok || m.WiFi == nil {

@@ -54,18 +54,30 @@ type Model struct {
 	// mirrored rows, re-anchor scores, divergence, pass latency.
 	Stats *GenStats
 
-	// packed guards the one-off packing of the model's weights (packFor).
-	packed sync.Once
+	// screened and packed guard the one-off builds of the model's weight
+	// copies (packFor).
+	screened, packed sync.Once
 }
 
 // packFor is called with the row count of every pass about to run on the
-// model. The first pass of mat.PackedMinRows rows or more builds the
-// packed copy of the dense weights that such passes read from then on
-// (core.WiFiModel.PackWeights); concurrent first passes wait for the one
-// build. Deferring it to here, rather than packing when the model is
-// placed, keeps a deployment that never batches — lone fixes, tracking
-// sessions — at one copy of its weights and out of the ~3 ms build.
+// model. The first pass of any size builds a WiFi model's fine-head
+// screen (core.WiFiModel.ScreenFineHead: an fp32 copy of the head, ~1 MB
+// per placed WiFi generation at the bench shape, about a millisecond to
+// build), from which its 1–4-row passes take their class. The first pass
+// of mat.PackedMinRows rows or more builds the packed copy of the dense
+// weights that such passes read from then on
+// (core.WiFiModel.PackWeights). Concurrent first passes wait for the one
+// build of each. Deferring the panels to here, rather than packing when
+// the model is placed, keeps a deployment that never batches — lone
+// fixes, tracking sessions — at one fp64 copy of its weights and out of
+// the ~3 ms build; the screen is built on the first pass because every
+// deployment's lone fixes use it.
 func (m *Model) packFor(rows int) {
+	m.screened.Do(func() {
+		if m.WiFi != nil {
+			m.WiFi.ScreenFineHead()
+		}
+	})
 	if rows < mat.PackedMinRows {
 		return
 	}

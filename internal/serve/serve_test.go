@@ -325,10 +325,11 @@ func batchedLocalizeMatchesUnbatched(t *testing.T, n int) {
 }
 
 // A placed model is packed by the first pass large enough to read the
-// panels, not before: lone fixes and small passes leave it at one copy of
-// its weights. Callers racing through that first pass (batching off, so
-// each runs its own; run under -race) wait for one build and all get the
-// lone-Predict answer.
+// panels, not before: lone fixes and small passes leave it at one fp64
+// copy of its weights (and the fine-head screen, which its first pass of
+// any size builds). Callers racing through that first pass (batching
+// off, so each runs its own; run under -race) wait for one build and all
+// get the lone-Predict answer.
 func TestFirstLargePassPacksThePlacedModelOnce(t *testing.T) {
 	fixtures(t)
 	wifi, reference := core.NewWiFiModel(wifiDS, wifiCfg), core.NewWiFiModel(wifiDS, wifiCfg)
@@ -350,10 +351,18 @@ func TestFirstLargePassPacksThePlacedModelOnce(t *testing.T) {
 		return preds
 	}
 	for _, n := range []int{1, mat.PackedMinRows - 1} {
-		localize(n)
+		for i, p := range localize(n) {
+			if want := reference.Predict(fps(n)[i]); p != want {
+				t.Fatalf("%d-row pass, row %d: %+v, lone Predict on a never-screened twin gives %+v", n, i, p, want)
+			}
+		}
 		if wifi.PackedBytes() != 0 {
 			t.Fatalf("a %d-row pass packed the model", n)
 		}
+	}
+	screened := wifi.ScreenBytes()
+	if reference.ScreenBytes() != 0 {
+		t.Fatal("the twin no engine serves was screened")
 	}
 
 	const callers, rows = 8, 9
@@ -387,6 +396,9 @@ func TestFirstLargePassPacksThePlacedModelOnce(t *testing.T) {
 	localize(rows)
 	if wifi.PackedBytes() != packed {
 		t.Fatalf("packed bytes %d -> %d after a later pass", packed, wifi.PackedBytes())
+	}
+	if screened == 0 || wifi.ScreenBytes() != screened {
+		t.Fatalf("screen bytes %d after the first pass, %d at the end: want one build, on the first pass", screened, wifi.ScreenBytes())
 	}
 }
 
