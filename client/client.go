@@ -98,6 +98,10 @@ func New(baseURL string, opts ...Option) *Client {
 			MaxIdleConns:        0, // unlimited
 			MaxIdleConnsPerHost: 256,
 			IdleConnTimeout:     90 * time.Second,
+			// How long a request sent with Expect: 100-continue (a
+			// stream) waits for the server's go-ahead before it sends
+			// its body anyway, for servers that never send one.
+			ExpectContinueTimeout: time.Second,
 			// Responses are small JSON; compression costs more than it saves.
 			DisableCompression: true,
 		}

@@ -1,8 +1,10 @@
 package client_test
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -435,26 +437,69 @@ func TestTrackStreamInteractive(t *testing.T) {
 	}
 }
 
-// Streaming against a server without /v2 fails, by the caller's
-// deadline at the latest. Such a server answers 404 without reading the
-// open-ended request body, and Go's HTTP/1.1 server holds that answer
-// until it has drained the body, which never ends: only the context can
-// end the call. It must, with the server's 404 if that got out first or
-// with the context's error.
+// A server that commits its 200 before reading the body and sends no
+// 100 Continue — as noble-serve did before the go-ahead — ends the
+// exchange that expected one without the body. The stream opens again
+// without the expectation and works, and the server acts on the open
+// line once.
+func TestTrackStreamWithoutGoAhead(t *testing.T) {
+	var (
+		mu    sync.Mutex
+		lines []string
+		opens int
+	)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		opens++
+		mu.Unlock()
+		rc := http.NewResponseController(w)
+		rc.EnableFullDuplex()
+		w.WriteHeader(http.StatusOK)
+		rc.Flush()
+		sc := bufio.NewScanner(r.Body)
+		for sc.Scan() {
+			mu.Lock()
+			lines = append(lines, sc.Text())
+			seq := len(lines)
+			mu.Unlock()
+			fmt.Fprintf(w, "{\"seq\":%d}\n", seq)
+			rc.Flush()
+		}
+	}))
+	defer ts.Close()
+	st, err := client.New(ts.URL).TrackStream(context.Background(), client.StreamOpen{Session: "s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if u, err := st.Recv(); err != nil || u.Seq != 1 {
+		t.Fatalf("open ack: %+v err %v", u, err)
+	}
+	if err := st.Send(client.AppendRequest{Features: []float64{1}}); err != nil {
+		t.Fatal(err)
+	}
+	if u, err := st.Recv(); err != nil || u.Seq != 2 {
+		t.Fatalf("second line: %+v err %v", u, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if opens != 2 || len(lines) != 2 || !strings.Contains(lines[0], `"session":"s"`) {
+		t.Fatalf("server saw %d opens and lines %q, want 2 opens and the open line once", opens, lines)
+	}
+}
+
+// Streaming against a server without /v2 fails with that server's 404,
+// even with a context that never ends. Such a server answers without
+// reading the open-ended request body; the stream asks it to expect
+// 100-continue, so Go's HTTP/1.1 server sends the 404 at once rather
+// than holding it while it drains a body that never ends. Run with a
+// short -timeout: a regression hangs.
 func TestTrackStreamRequiresV2(t *testing.T) {
 	url, paths := withoutV2(t)
-	const deadline = 500 * time.Millisecond
-	ctx, cancel := context.WithTimeout(context.Background(), deadline)
-	defer cancel()
-	start := time.Now()
-	_, err := client.New(url).TrackStream(ctx, client.StreamOpen{})
-	if took := time.Since(start); took > deadline+2*time.Second {
-		t.Fatalf("TrackStream returned %v after its %v deadline", took-deadline, deadline)
-	}
+	_, err := client.New(url).TrackStream(context.Background(), client.StreamOpen{})
 	var apiErr *client.APIError
-	notFound := errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound
-	if !notFound && !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err %v, want the server's 404 as an *APIError or the context's deadline", err)
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
+		t.Fatalf("err %v, want the server's 404 as an *APIError", err)
 	}
 	if got := strings.Join(paths(), " "); got != "/v2/track/stream" {
 		t.Fatalf("server saw %q, want /v2/track/stream", got)

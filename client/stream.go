@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"sync"
@@ -50,7 +51,26 @@ type TrackStream struct {
 // TrackStream opens a streaming-tracking connection and sends the open
 // line. The first Recv answers the open line itself (its decode of any
 // segments carried in open).
+//
+// The request asks the server to expect 100-continue, so one that
+// answers without reading the body (a server without the route: a plain
+// 404) sends that answer at once. A server that commits a 200 before it
+// reads — and sends no go-ahead, as servers before the go-ahead did —
+// ends that exchange without the body; the stream is then opened once
+// more without the expectation. That exchange carried no line, so the
+// server acted on nothing.
 func (c *Client) TrackStream(ctx context.Context, open StreamOpen) (*TrackStream, error) {
+	st, err := c.openStream(ctx, open, true)
+	if errors.Is(err, io.ErrClosedPipe) {
+		st, err = c.openStream(ctx, open, false)
+	}
+	return st, err
+}
+
+// openStream is one attempt at TrackStream, with or without Expect:
+// 100-continue. A body the transport declined to send shows as
+// io.ErrClosedPipe from the open line's write.
+func (c *Client) openStream(ctx context.Context, open StreamOpen, expect bool) (*TrackStream, error) {
 	pr, pw := io.Pipe()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v2/track/stream", pr)
 	if err != nil {
@@ -58,10 +78,12 @@ func (c *Client) TrackStream(ctx context.Context, open StreamOpen) (*TrackStream
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/x-ndjson")
+	if expect {
+		req.Header.Set("Expect", "100-continue")
+	}
 	// The body is open-ended, so nothing but ctx ends a request whose
-	// server never reads it (one that answers 404 without reading is
-	// left draining the body, and the transport waits on its writer):
-	// when ctx ends, the pipe fails and so does every wait on it.
+	// server never reads it: when ctx ends, the pipe fails and so does
+	// every wait on it.
 	stop := context.AfterFunc(ctx, func() { pw.CloseWithError(ctx.Err()) })
 	resp, err := c.hc.Do(req)
 	if err != nil {

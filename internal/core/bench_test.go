@@ -68,14 +68,18 @@ func perfShapeWiFi() *WiFiModel {
 
 // benchmarkWiFiPredictRows is one PredictBatch pass of the given size at
 // the perf shape, weights packed and the fine head screened as serve
-// builds them, over fingerprints with ~30% of WAPs heard. One to four
-// rows are the passes a lone device and an open-loop fleet produce: the
-// trunk runs on mat.MatMulInto's row-sweep kernels (mat.BenchmarkGemmB1–4
-// has the kernels alone) and the fine class comes from the screen; 8 to
-// 32 rows are a localize_bulk request's pass and the chunk sizes
-// splitPass could cut it into — run them at -cpu 1,2 to see the one-core
-// rate per chunk size and what the second core buys a split pass. gflop/s
-// counts the model's nominal FLOPs, skipped zeros included.
+// builds them, over fingerprints with ~30% of WAPs heard; the fine class
+// comes from the screen at every size. One to four rows are the passes a
+// lone device and an open-loop fleet produce: the trunk runs on
+// mat.MatMulInto's row-sweep kernels (mat.BenchmarkGemmB1–4 has the
+// kernels alone) and the screen on its row kernels. Five to seven rows
+// are where the trunk moves to the packed tile and the screen's tile
+// would compute padding rows (mat.BenchmarkScreenScore has the screen
+// alone); 8 to 32 rows are a localize_bulk request's pass and the chunk
+// sizes splitPass could cut it into — run them at -cpu 1,2 to see the
+// one-core rate per chunk size and what the second core buys a split
+// pass. gflop/s counts the model's nominal FLOPs, skipped zeros
+// included.
 func benchmarkWiFiPredictRows(b *testing.B, size int) {
 	m := perfShapeWiFi()
 	m.PackWeights()
@@ -101,6 +105,9 @@ func BenchmarkWiFiPredictRows1(b *testing.B)  { benchmarkWiFiPredictRows(b, 1) }
 func BenchmarkWiFiPredictRows2(b *testing.B)  { benchmarkWiFiPredictRows(b, 2) }
 func BenchmarkWiFiPredictRows3(b *testing.B)  { benchmarkWiFiPredictRows(b, 3) }
 func BenchmarkWiFiPredictRows4(b *testing.B)  { benchmarkWiFiPredictRows(b, 4) }
+func BenchmarkWiFiPredictRows5(b *testing.B)  { benchmarkWiFiPredictRows(b, 5) }
+func BenchmarkWiFiPredictRows6(b *testing.B)  { benchmarkWiFiPredictRows(b, 6) }
+func BenchmarkWiFiPredictRows7(b *testing.B)  { benchmarkWiFiPredictRows(b, 7) }
 func BenchmarkWiFiPredictRows8(b *testing.B)  { benchmarkWiFiPredictRows(b, 8) }
 func BenchmarkWiFiPredictRows16(b *testing.B) { benchmarkWiFiPredictRows(b, 16) }
 func BenchmarkWiFiPredictRows24(b *testing.B) { benchmarkWiFiPredictRows(b, 24) }

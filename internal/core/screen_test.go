@@ -27,20 +27,22 @@ func heardFingerprints(width, n int, seed int64) [][]float64 {
 	return rows
 }
 
-// requireScreenedLikeTwin runs every row of fps through 1–4-row passes on
-// the screened model and on its never-screened twin and requires the
-// same predictions. It also requires that the screen itself answered
-// nearly every pass, so the comparison is not of the fp64 path with
-// itself.
+// requireScreenedLikeTwin runs every row of fps through passes of 1 to
+// 40 rows — every row kernel, the tile, and passes splitPass cuts into
+// chunks — on the screened model and on its never-screened twin and
+// requires the same predictions. It also requires that the screen itself
+// answered nearly every row, so the comparison is not of the fp64 path
+// with itself.
 func requireScreenedLikeTwin(t *testing.T, screened, twin *WiFiModel, fps [][]float64) {
 	t.Helper()
 	screened.ScreenFineHead()
 	if twin.ScreenBytes() != 0 {
 		t.Fatal("the twin was screened")
 	}
-	built := screened.ScreenBytes() != 0
-	for rows := 1; rows <= 4; rows++ {
-		passes, answered := 0, 0
+	head := screened.fineLayer()
+	probe := mat.NewScreen(head.Weight.W) // the screen's answers, without the fp64 hand-back
+	for rows := 1; rows <= 40; rows++ {
+		total, answered := 0, 0
 		for lo := 0; lo+rows <= len(fps); lo += rows {
 			batch := fps[lo : lo+rows]
 			got, want := screened.PredictBatch(batch), twin.PredictBatch(batch)
@@ -49,14 +51,16 @@ func requireScreenedLikeTwin(t *testing.T, screened, twin *WiFiModel, fps [][]fl
 					t.Fatalf("%d-row pass at row %d: screened %+v, never-screened twin %+v", rows, lo+i, got[i], want[i])
 				}
 			}
-			passes++
 			emb := screened.net.Trunk.Forward(mat.FromRows(batch), false)
-			if screened.fineLayer().ScreenedArgMax(emb) != nil {
-				answered++
+			for _, c := range probe.ArgMax(emb, head.Bias.W.Data) {
+				if c >= 0 {
+					answered++
+				}
 			}
+			total += rows
 		}
-		if built && answered < passes*9/10 {
-			t.Fatalf("%d-row passes: the screen answered %d of %d", rows, answered, passes)
+		if screened.ScreenBytes() != 0 && answered < total*9/10 {
+			t.Fatalf("%d-row passes: the screen answered %d of %d rows", rows, answered, total)
 		}
 	}
 }
@@ -113,7 +117,7 @@ func TestWiFiLoadAfterScreeningServesLoadedWeights(t *testing.T) {
 func TestWiFiConcurrentScreenAndPredictAgree(t *testing.T) {
 	ds := tinyWiFi()
 	m := untrainedWiFi(ds, 1)
-	x := testFingerprints(ds, 4)
+	x := testFingerprints(ds, 16)
 	want := untrainedWiFi(ds, 1).PredictMatrix(x)
 	const callers = 8
 	got := make([][]WiFiPrediction, callers)
@@ -127,7 +131,7 @@ func TestWiFiConcurrentScreenAndPredictAgree(t *testing.T) {
 			if g%2 == 0 {
 				m.ScreenFineHead()
 			}
-			rows := 1 + g%4
+			rows := []int{1, 4, 5, 8, 9, 16}[g%6]
 			got[g] = m.PredictMatrix(mat.FromSlice(rows, x.Cols, x.Data[:rows*x.Cols]))
 		}(g)
 	}

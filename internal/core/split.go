@@ -6,21 +6,24 @@ import (
 )
 
 // passChunkRows is the row count of one chunk of a split forward pass
-// (splitPass). At the perf shape with packed weights one core runs 8, 16,
-// 24 and 32 rows in 360, 667, 1003 and 1320 µs — 45 µs a row at 8 rows,
-// 41.3–41.8 from 16 up — and on two cores a 32-row pass takes 838 µs as
-// two 16-row chunks and 812 µs as four 8-row ones, the same within the
-// runs' spread. 8-row chunks would also split 9–16-row passes (16 rows:
-// 481 µs on two cores), but every row would cost ~8 % more CPU
+// (splitPass). At the perf shape, trunk packed and fine class screened
+// as serve builds them, one core runs 8, 16, 24 and 32 rows in 399, 709,
+// 1075 and 1513 µs — 50 µs a row at 8 rows, 44–47 from 16 up — and on
+// two cores a 32-row pass takes 874 µs as two 16-row chunks and 963 µs
+// as four 8-row ones. 8-row chunks would also split 9–16-row passes (16
+// rows: 479 µs on two cores against 757 as one chunk), but the four
+// sizes cost −4 to +9 % CPU a row on one core as 8-row chunks
 // (BenchmarkWiFiPredictRows{8,16,24,32}, medians of five -cpu 1,2 runs
-// on a 2-vCPU Xeon VM; docs/measurements/pr25-two-core-pass.md). At 16,
-// a lone device's passes and an open-loop fleet's (1.4 rows on average at
-// 2000 fingerprints/s) are one chunk and run exactly the one-core code.
-// Splitting those short passes does not pay either: a prototype that
-// split each Dense layer's columns across two cores on this file's
-// pattern saw its helper run 103 of 10,000 chunks and the pass get no
-// faster — a goroutine started toward the idle second vCPU began after
-// 62 µs at p10 and ~2 ms at the median, longer than a whole lone pass.
+// alternating with a passChunkRows = 8 build, on a 2-vCPU Xeon VM in a
+// slow phase: the same 32-row pass read 0.9–1.4 ms in other runs). At
+// 16, a lone device's passes and an open-loop fleet's (1.4 rows on
+// average at 2000 fingerprints/s) are one chunk and run exactly the
+// one-core code. Splitting those short passes does not pay either: a
+// prototype that split each Dense layer's columns across two cores on
+// this file's pattern saw its helper run 103 of 10,000 chunks and the
+// pass get no faster — a goroutine started toward the idle second vCPU
+// began after 62 µs at p10 and ~2 ms at the median, longer than a whole
+// lone pass.
 const passChunkRows = 16
 
 // splitPass runs run over the rows [0, n) of one forward pass in chunks

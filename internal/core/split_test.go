@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"noble/internal/dataset"
+	"noble/internal/mat"
 	"noble/internal/nn/qlinear"
 	"noble/internal/quantize"
 )
@@ -131,6 +132,39 @@ func TestSplitPassHelperPanicSurfacesOnCaller(t *testing.T) {
 		}
 		if p != "chunk 0" {
 			t.Fatalf("caller saw panic %v, want the first chunk's, %q", p, "chunk 0")
+		}
+	})
+}
+
+// A 33-row pass on a perf-shape model screened and packed as serve
+// builds it runs as three chunks (16, 16, 1) that score on the screen's
+// tile and its one-row kernel at once on two cores, from four callers at
+// once (run under -race): every row answers what the never-screened twin
+// answers.
+func TestSplitPassScreenedMatchesNeverScreened(t *testing.T) {
+	m, twin := perfShapeWiFi(), perfShapeWiFi()
+	m.PackWeights()
+	m.ScreenFineHead()
+	x := mat.FromRows(heardFingerprints(m.InputDim(), 33, 5))
+	want := twin.PredictMatrix(x)
+	withGOMAXPROCS(2, func() {
+		const callers = 4
+		got := make([][]WiFiPrediction, callers)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[g] = m.PredictMatrix(x)
+			}()
+		}
+		wg.Wait()
+		for g := range got {
+			for i, p := range got[g] {
+				if p != want[i] {
+					t.Fatalf("caller %d row %d: %+v, the never-screened twin gives %+v", g, i, p, want[i])
+				}
+			}
 		}
 	})
 }

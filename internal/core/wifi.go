@@ -236,10 +236,10 @@ func (m *WiFiModel) PredictMatrix(x *mat.Dense) []WiFiPrediction {
 
 // predictInto runs one forward pass over x and decodes row i into preds[i].
 // An fp64 pass runs only the heads it decodes — fine, building, floor;
-// the coarse head is read by PredictBatchHierarchical alone — and a pass
-// under mat.PackedMinRows rows takes the fine class from the head's
-// screen where the owner built one (ScreenFineHead): the same class,
-// without computing the fine logits in fp64.
+// the coarse head is read by PredictBatchHierarchical alone — and takes
+// the fine class from the head's screen where the owner built one
+// (ScreenFineHead): the same class, without computing the fine logits in
+// fp64.
 func (m *WiFiModel) predictInto(preds []WiFiPrediction, x *mat.Dense) {
 	var (
 		outs []*mat.Dense
@@ -306,18 +306,27 @@ func (m *WiFiModel) Predict(features []float64) WiFiPrediction {
 	return m.PredictMatrix(x)[0]
 }
 
-// PackWeights builds the packed copy of every dense weight matrix, which
-// fp64 passes of mat.PackedMinRows or more rows then read instead of the
-// row-major weights — same answers, bit for bit (DESIGN.md §2), at about
-// twice the rate on the fine head. It costs one more copy of the dense
-// weights in memory and a few milliseconds, so it is the caller's
-// decision: serve packs a placed model on its first pass large enough to
-// use it. Idempotent and safe alongside concurrent Predict calls. Load
-// and training drop the copy; an int8 model never reads fp64 weights on
-// its serving path, so for it this is a no-op.
+// PackWeights builds the packed copy of the trunk's and the building and
+// floor heads' weights, which fp64 passes of mat.PackedMinRows or more
+// rows then read instead of the row-major weights — same answers, bit
+// for bit (DESIGN.md §2). The fine head is left out: its passes take
+// their class from its screen (ScreenFineHead), and its logits are read
+// only by PredictTopK and PredictBatchHierarchical, which run on the
+// row-major weights. It costs one more copy of those weights in memory
+// and about a millisecond, so it is the caller's decision: serve
+// packs a placed model on its first pass large enough to use it.
+// Idempotent and safe alongside concurrent Predict calls. Load and
+// training drop the copy; an int8 model never reads fp64 weights on its
+// serving path, so for it this is a no-op.
 func (m *WiFiModel) PackWeights() {
-	if m.qnet == nil {
-		m.net.Pack()
+	if m.qnet != nil {
+		return
+	}
+	m.net.Trunk.Pack()
+	for _, h := range []int{m.buildingHead, m.floorHead} {
+		if h >= 0 {
+			m.net.Heads[h].Layer.(*nn.Dense).Pack()
+		}
 	}
 }
 
@@ -326,14 +335,14 @@ func (m *WiFiModel) PackWeights() {
 func (m *WiFiModel) PackedBytes() int { return nn.PackedBytes(m.net.Params()) }
 
 // ScreenFineHead builds the fine head's screen (mat.Screen): an fp32
-// copy of its weights with a per-class error bound, from which fp64
-// passes of 1–4 rows take their fine class — the same class, bit for
-// bit (DESIGN.md §2) — reading half the bytes the fp64 head would. It
-// costs ~1 MB at the perf shape's 256×1002 head and about a millisecond,
-// so like PackWeights it is the caller's decision: serve builds it on a
-// placed model's first pass. Idempotent and safe alongside concurrent
-// Predict calls; Load and training drop it; a no-op on an int8 model and
-// on hosts without the AVX sweep.
+// copy of its weights with an error bound, from which fp64 passes of
+// every size take their fine class — the same class, bit for bit
+// (DESIGN.md §2) — reading half the bytes the fp64 head would at twice
+// its rate. It costs ~1 MB at the perf shape's 256×1002 head and one to
+// two milliseconds, so like PackWeights it is the caller's decision:
+// serve builds it on a placed model's first pass. Idempotent and safe
+// alongside concurrent Predict calls; Load and training drop it; a no-op
+// on an int8 model and on hosts without the AVX kernels.
 func (m *WiFiModel) ScreenFineHead() {
 	if m.qnet == nil {
 		m.fineLayer().Screen()

@@ -7,7 +7,8 @@ package mat
 // must be present and the OS must save the YMM state (OSXSAVE +
 // XCR0[2:1] = 11). The kernels use only AVX1 instructions (VBROADCASTSD
 // from memory, VMULPD/VMULSD, VADDPD/VADDSD, VMOVUPD/VMOVSD, and their
-// fp32 forms in the screen's sweep), so FMA/AVX2 are not required — deliberately: keeping multiplies and adds un-fused
+// fp32 forms in the screen's kernels), so FMA/AVX2 are not required —
+// deliberately: keeping multiplies and adds un-fused
 // preserves the exact double-rounded semantics of the pure-Go kernels,
 // so results are bit-identical whichever path runs.
 var useAVXGemm = detectAVX()
@@ -73,10 +74,29 @@ func rowSweep4x2avx(n int, d0, d1, b0, b1, b2, b3, a0, a1 *float64)
 //go:noescape
 func rowSweep1avx(n int, d, b *float64, a float64)
 
-// rowSweep4avx32 is rowSweep4avx in fp32 — VMULPS/VADDPS, eight columns
-// per register — for the class-head screen (Screen.ArgMax), whose error
-// bound covers its rounding: d[j] += a[0]*b0[j] + … + a[3]*b3[j], left
-// to right, for j in [0, n).
+// screenTile8avx32 is gemm8x4avx in fp32 over one eight-column screen
+// panel (Screen): d_r[c] = Σ_k a_r[k]·b[8k+c] for r in 0..7, c in 0..7,
+// un-fused, ascending k, from zero. It scores a pass's whole blocks of
+// eight rows.
 //
 //go:noescape
-func rowSweep4avx32(n int, d, b0, b1, b2, b3, a *float32)
+func screenTile8avx32(kn int, a0, a1, a2, a3, a4, a5, a6, a7 *float32,
+	b *float32, d0, d1, d2, d3, d4, d5, d6, d7 *float32)
+
+// screenRows4avx32 is the tile's k walk for four rows over two adjacent
+// panels, stride bytes apart: sixteen columns per row, each panel
+// vector loaded once for the four rows.
+//
+//go:noescape
+func screenRows4avx32(kn int, a0, a1, a2, a3 *float32, b *float32, stride int,
+	d0, d1, d2, d3 *float32)
+
+// screenRows2avx32 is screenRows4avx32 for two rows over four panels.
+//
+//go:noescape
+func screenRows2avx32(kn int, a0, a1 *float32, b *float32, stride int, d0, d1 *float32)
+
+// screenRows1avx32 is screenRows4avx32 for one row over eight panels.
+//
+//go:noescape
+func screenRows1avx32(kn int, a *float32, b *float32, stride int, d *float32)

@@ -5,10 +5,11 @@
 // 8×4 block of the output in YMM registers while it walks down b one
 // row per k step (every pass of five rows or more). The row sweep —
 // rowSweep4avx, rowSweep4x2avx, rowSweep1avx — keeps four k in registers
-// while it walks along b's rows (passes of one to four rows);
-// rowSweep4avx32 is its fp32 form, which scores the class-head screen
-// (screen.go). Go declarations and measured rates: gemm_amd64.go,
-// matMulRows.
+// while it walks along b's rows (passes of one to four rows). The
+// screen kernels — screenTile8avx32 and screenRows{4,2,1}avx32 — are
+// their fp32 forms over eight-column panels, which score the class-head
+// screen (screen.go). Go declarations and measured rates: gemm_amd64.go,
+// matMulRows, Screen.
 
 #include "textflag.h"
 
@@ -426,127 +427,299 @@ sweep1done:
 	VZEROUPPER
 	RET
 
-// func rowSweep4avx32(n int, d, b0, b1, b2, b3, a *float32)
+// func screenTile8avx32(kn int, a0, a1, a2, a3, a4, a5, a6, a7 *float32,
+//                       b *float32, d0, d1, d2, d3, d4, d5, d6, d7 *float32)
 //
-// rowSweep4avx in fp32, for the class-head screen (screen.go): the same
-// left-to-right sweep over four b rows, four k broadcast in Y12..Y15,
-// with VMULPS/VADDPS on eight columns per register —
-//
-//	d[j] = (((d[j] + a[0]·b0[j]) + a[1]·b1[j]) + a[2]·b2[j]) + a[3]·b3[j]
-//
-// rounded to fp32 at every multiply and add. Thirty-two columns per step
-// (Y0..Y3), then eight at a time, then the last n%8 with the scalar
-// forms. Its sums are scores, not answers: Screen.ArgMax bounds their
-// error and recomputes in fp64 every column the bound cannot rule out.
-TEXT ·rowSweep4avx32(SB), NOSPLIT, $0-56
-	MOVQ n+0(FP), CX
-	MOVQ d+8(FP), DI
-	MOVQ b0+16(FP), R8
-	MOVQ b1+24(FP), R9
-	MOVQ b2+32(FP), R10
-	MOVQ b3+40(FP), R11
-	MOVQ a+48(FP), AX
-	VBROADCASTSS (AX), Y12
-	VBROADCASTSS 4(AX), Y13
-	VBROADCASTSS 8(AX), Y14
-	VBROADCASTSS 12(AX), Y15
-	XORQ SI, SI            // column index
+// gemm8x4avx in fp32 over one eight-column screen panel: Y0..Y7 are the
+// rows' accumulators, Y8 the panel's eight values at step k, Y9 the
+// broadcast a value, Y10 the product. Per k step it runs the fp64
+// tile's loads and ops — one panel load, eight VBROADCASTSS, eight
+// VMULPS, eight VADDPS — and covers eight columns instead of four. The
+// panel is one sequential run of 32·kn bytes. The sums start from zero
+// and are stored, not added, into d0..d7.
+TEXT ·screenTile8avx32(SB), NOSPLIT, $0-144
+	MOVQ kn+0(FP), CX
+	MOVQ a0+8(FP), R8
+	MOVQ a1+16(FP), R9
+	MOVQ a2+24(FP), R10
+	MOVQ a3+32(FP), R11
+	MOVQ a4+40(FP), R12
+	MOVQ a5+48(FP), R13
+	MOVQ a6+56(FP), R14
+	MOVQ a7+64(FP), R15
+	MOVQ b+72(FP), BX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
 
-	MOVQ CX, DX
-	ANDQ $~31, DX          // end of the thirty-two-column steps
-	CMPQ SI, DX
-	JGE  sweep32cols8
+	XORQ SI, SI            // k index
+	TESTQ CX, CX
+	JZ    tile32store
 
-sweep32cols32:
-	VMOVUPS (DI)(SI*4), Y0
-	VMOVUPS 32(DI)(SI*4), Y1
-	VMOVUPS 64(DI)(SI*4), Y2
-	VMOVUPS 96(DI)(SI*4), Y3
+tile32k:
+	VMOVUPS (BX), Y8
 
-	VMULPS (R8)(SI*4), Y12, Y4
-	VMULPS 32(R8)(SI*4), Y12, Y5
-	VMULPS 64(R8)(SI*4), Y12, Y6
-	VMULPS 96(R8)(SI*4), Y12, Y7
-	VADDPS Y4, Y0, Y0
-	VADDPS Y5, Y1, Y1
-	VADDPS Y6, Y2, Y2
-	VADDPS Y7, Y3, Y3
+	VBROADCASTSS (R8)(SI*4), Y9
+	VMULPS Y8, Y9, Y10
+	VADDPS Y10, Y0, Y0
+	VBROADCASTSS (R9)(SI*4), Y9
+	VMULPS Y8, Y9, Y10
+	VADDPS Y10, Y1, Y1
+	VBROADCASTSS (R10)(SI*4), Y9
+	VMULPS Y8, Y9, Y10
+	VADDPS Y10, Y2, Y2
+	VBROADCASTSS (R11)(SI*4), Y9
+	VMULPS Y8, Y9, Y10
+	VADDPS Y10, Y3, Y3
+	VBROADCASTSS (R12)(SI*4), Y9
+	VMULPS Y8, Y9, Y10
+	VADDPS Y10, Y4, Y4
+	VBROADCASTSS (R13)(SI*4), Y9
+	VMULPS Y8, Y9, Y10
+	VADDPS Y10, Y5, Y5
+	VBROADCASTSS (R14)(SI*4), Y9
+	VMULPS Y8, Y9, Y10
+	VADDPS Y10, Y6, Y6
+	VBROADCASTSS (R15)(SI*4), Y9
+	VMULPS Y8, Y9, Y10
+	VADDPS Y10, Y7, Y7
 
-	VMULPS (R9)(SI*4), Y13, Y4
-	VMULPS 32(R9)(SI*4), Y13, Y5
-	VMULPS 64(R9)(SI*4), Y13, Y6
-	VMULPS 96(R9)(SI*4), Y13, Y7
-	VADDPS Y4, Y0, Y0
-	VADDPS Y5, Y1, Y1
-	VADDPS Y6, Y2, Y2
-	VADDPS Y7, Y3, Y3
-
-	VMULPS (R10)(SI*4), Y14, Y4
-	VMULPS 32(R10)(SI*4), Y14, Y5
-	VMULPS 64(R10)(SI*4), Y14, Y6
-	VMULPS 96(R10)(SI*4), Y14, Y7
-	VADDPS Y4, Y0, Y0
-	VADDPS Y5, Y1, Y1
-	VADDPS Y6, Y2, Y2
-	VADDPS Y7, Y3, Y3
-
-	VMULPS (R11)(SI*4), Y15, Y4
-	VMULPS 32(R11)(SI*4), Y15, Y5
-	VMULPS 64(R11)(SI*4), Y15, Y6
-	VMULPS 96(R11)(SI*4), Y15, Y7
-	VADDPS Y4, Y0, Y0
-	VADDPS Y5, Y1, Y1
-	VADDPS Y6, Y2, Y2
-	VADDPS Y7, Y3, Y3
-
-	VMOVUPS Y0, (DI)(SI*4)
-	VMOVUPS Y1, 32(DI)(SI*4)
-	VMOVUPS Y2, 64(DI)(SI*4)
-	VMOVUPS Y3, 96(DI)(SI*4)
-	ADDQ $32, SI
-	CMPQ SI, DX
-	JLT  sweep32cols32
-
-sweep32cols8:
-	MOVQ CX, DX
-	ANDQ $~7, DX           // end of the eight-column steps
-	CMPQ SI, DX
-	JGE  sweep32cols1
-
-sweep32cols8loop:
-	VMOVUPS (DI)(SI*4), Y0
-	VMULPS (R8)(SI*4), Y12, Y4
-	VADDPS Y4, Y0, Y0
-	VMULPS (R9)(SI*4), Y13, Y4
-	VADDPS Y4, Y0, Y0
-	VMULPS (R10)(SI*4), Y14, Y4
-	VADDPS Y4, Y0, Y0
-	VMULPS (R11)(SI*4), Y15, Y4
-	VADDPS Y4, Y0, Y0
-	VMOVUPS Y0, (DI)(SI*4)
-	ADDQ $8, SI
-	CMPQ SI, DX
-	JLT  sweep32cols8loop
-
-sweep32cols1:
-	CMPQ SI, CX
-	JGE  sweep32done
-
-sweep32cols1loop:
-	VMOVSS (DI)(SI*4), X0
-	VMULSS (R8)(SI*4), X12, X4
-	VADDSS X4, X0, X0
-	VMULSS (R9)(SI*4), X13, X4
-	VADDSS X4, X0, X0
-	VMULSS (R10)(SI*4), X14, X4
-	VADDSS X4, X0, X0
-	VMULSS (R11)(SI*4), X15, X4
-	VADDSS X4, X0, X0
-	VMOVSS X0, (DI)(SI*4)
+	ADDQ $32, BX
 	INCQ SI
 	CMPQ SI, CX
-	JLT  sweep32cols1loop
+	JLT  tile32k
 
-sweep32done:
+tile32store:
+	MOVQ d0+80(FP), AX
+	VMOVUPS Y0, (AX)
+	MOVQ d1+88(FP), AX
+	VMOVUPS Y1, (AX)
+	MOVQ d2+96(FP), AX
+	VMOVUPS Y2, (AX)
+	MOVQ d3+104(FP), AX
+	VMOVUPS Y3, (AX)
+	MOVQ d4+112(FP), AX
+	VMOVUPS Y4, (AX)
+	MOVQ d5+120(FP), AX
+	VMOVUPS Y5, (AX)
+	MOVQ d6+128(FP), AX
+	VMOVUPS Y6, (AX)
+	MOVQ d7+136(FP), AX
+	VMOVUPS Y7, (AX)
+	VZEROUPPER
+	RET
+
+// func screenRows4avx32(kn int, a0, a1, a2, a3 *float32, b *float32, stride int,
+//                       d0, d1, d2, d3 *float32)
+//
+// The tile's k walk for four rows over two adjacent panels (sixteen
+// columns): each panel vector loaded is used by all four rows. Y0..Y7
+// hold row r's two panels in Y(2r), Y(2r+1); Y8, Y9 the panels' values
+// at step k; Y10 the broadcast a value; Y11 the product. stride is the
+// distance between panels in bytes (32·kn). d_r receives sixteen sums.
+TEXT ·screenRows4avx32(SB), NOSPLIT, $0-88
+	MOVQ kn+0(FP), CX
+	MOVQ a0+8(FP), R8
+	MOVQ a1+16(FP), R9
+	MOVQ a2+24(FP), R10
+	MOVQ a3+32(FP), R11
+	MOVQ b+40(FP), BX
+	MOVQ stride+48(FP), DX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+
+	XORQ SI, SI            // k index
+	TESTQ CX, CX
+	JZ    rows4store
+
+rows4k:
+	VMOVUPS (BX), Y8
+	VMOVUPS (BX)(DX*1), Y9
+
+	VBROADCASTSS (R8)(SI*4), Y10
+	VMULPS Y8, Y10, Y11
+	VADDPS Y11, Y0, Y0
+	VMULPS Y9, Y10, Y11
+	VADDPS Y11, Y1, Y1
+	VBROADCASTSS (R9)(SI*4), Y10
+	VMULPS Y8, Y10, Y11
+	VADDPS Y11, Y2, Y2
+	VMULPS Y9, Y10, Y11
+	VADDPS Y11, Y3, Y3
+	VBROADCASTSS (R10)(SI*4), Y10
+	VMULPS Y8, Y10, Y11
+	VADDPS Y11, Y4, Y4
+	VMULPS Y9, Y10, Y11
+	VADDPS Y11, Y5, Y5
+	VBROADCASTSS (R11)(SI*4), Y10
+	VMULPS Y8, Y10, Y11
+	VADDPS Y11, Y6, Y6
+	VMULPS Y9, Y10, Y11
+	VADDPS Y11, Y7, Y7
+
+	ADDQ $32, BX
+	INCQ SI
+	CMPQ SI, CX
+	JLT  rows4k
+
+rows4store:
+	MOVQ d0+56(FP), AX
+	VMOVUPS Y0, (AX)
+	VMOVUPS Y1, 32(AX)
+	MOVQ d1+64(FP), AX
+	VMOVUPS Y2, (AX)
+	VMOVUPS Y3, 32(AX)
+	MOVQ d2+72(FP), AX
+	VMOVUPS Y4, (AX)
+	VMOVUPS Y5, 32(AX)
+	MOVQ d3+80(FP), AX
+	VMOVUPS Y6, (AX)
+	VMOVUPS Y7, 32(AX)
+	VZEROUPPER
+	RET
+
+// func screenRows2avx32(kn int, a0, a1 *float32, b *float32, stride int, d0, d1 *float32)
+//
+// Two rows over four adjacent panels (thirty-two columns): each panel
+// vector loaded feeds both rows. Y0..Y3 are row 0's panels, Y4..Y7 row
+// 1's; Y8..Y11 the panels' values at step k; Y12, Y13 the two broadcast
+// a values; Y14, Y15 products.
+TEXT ·screenRows2avx32(SB), NOSPLIT, $0-56
+	MOVQ kn+0(FP), CX
+	MOVQ a0+8(FP), R8
+	MOVQ a1+16(FP), R9
+	MOVQ b+24(FP), BX
+	MOVQ stride+32(FP), DX
+	LEAQ (DX)(DX*2), R12   // three panels
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+
+	XORQ SI, SI            // k index
+	TESTQ CX, CX
+	JZ    rows2store
+
+rows2k:
+	VMOVUPS (BX), Y8
+	VMOVUPS (BX)(DX*1), Y9
+	VMOVUPS (BX)(DX*2), Y10
+	VMOVUPS (BX)(R12*1), Y11
+	VBROADCASTSS (R8)(SI*4), Y12
+	VBROADCASTSS (R9)(SI*4), Y13
+
+	VMULPS Y8, Y12, Y14
+	VMULPS Y8, Y13, Y15
+	VADDPS Y14, Y0, Y0
+	VADDPS Y15, Y4, Y4
+	VMULPS Y9, Y12, Y14
+	VMULPS Y9, Y13, Y15
+	VADDPS Y14, Y1, Y1
+	VADDPS Y15, Y5, Y5
+	VMULPS Y10, Y12, Y14
+	VMULPS Y10, Y13, Y15
+	VADDPS Y14, Y2, Y2
+	VADDPS Y15, Y6, Y6
+	VMULPS Y11, Y12, Y14
+	VMULPS Y11, Y13, Y15
+	VADDPS Y14, Y3, Y3
+	VADDPS Y15, Y7, Y7
+
+	ADDQ $32, BX
+	INCQ SI
+	CMPQ SI, CX
+	JLT  rows2k
+
+rows2store:
+	MOVQ d0+40(FP), AX
+	VMOVUPS Y0, (AX)
+	VMOVUPS Y1, 32(AX)
+	VMOVUPS Y2, 64(AX)
+	VMOVUPS Y3, 96(AX)
+	MOVQ d1+48(FP), AX
+	VMOVUPS Y4, (AX)
+	VMOVUPS Y5, 32(AX)
+	VMOVUPS Y6, 64(AX)
+	VMOVUPS Y7, 96(AX)
+	VZEROUPPER
+	RET
+
+// func screenRows1avx32(kn int, a *float32, b *float32, stride int, d *float32)
+//
+// One row over eight adjacent panels (sixty-four columns): eight
+// independent add chains, Y0..Y7, so the sweep is not held up by the
+// add latency of one. Y8 is the broadcast a value, Y9..Y12 products;
+// the panel values are multiplied straight from memory. R8 walks
+// panels 0–3, R9 panels 4–7.
+TEXT ·screenRows1avx32(SB), NOSPLIT, $0-40
+	MOVQ kn+0(FP), CX
+	MOVQ a+8(FP), R10
+	MOVQ b+16(FP), R8
+	MOVQ stride+24(FP), DX
+	LEAQ (DX)(DX*2), R12   // three panels
+	LEAQ (R8)(DX*4), R9    // panel 4
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+
+	XORQ SI, SI            // k index
+	TESTQ CX, CX
+	JZ    rows1store
+
+rows1k:
+	VBROADCASTSS (R10)(SI*4), Y8
+	VMULPS (R8), Y8, Y9
+	VMULPS (R8)(DX*1), Y8, Y10
+	VMULPS (R8)(DX*2), Y8, Y11
+	VMULPS (R8)(R12*1), Y8, Y12
+	VADDPS Y9, Y0, Y0
+	VADDPS Y10, Y1, Y1
+	VADDPS Y11, Y2, Y2
+	VADDPS Y12, Y3, Y3
+	VMULPS (R9), Y8, Y9
+	VMULPS (R9)(DX*1), Y8, Y10
+	VMULPS (R9)(DX*2), Y8, Y11
+	VMULPS (R9)(R12*1), Y8, Y12
+	VADDPS Y9, Y4, Y4
+	VADDPS Y10, Y5, Y5
+	VADDPS Y11, Y6, Y6
+	VADDPS Y12, Y7, Y7
+
+	ADDQ $32, R8
+	ADDQ $32, R9
+	INCQ SI
+	CMPQ SI, CX
+	JLT  rows1k
+
+rows1store:
+	MOVQ d+32(FP), AX
+	VMOVUPS Y0, (AX)
+	VMOVUPS Y1, 32(AX)
+	VMOVUPS Y2, 64(AX)
+	VMOVUPS Y3, 96(AX)
+	VMOVUPS Y4, 128(AX)
+	VMOVUPS Y5, 160(AX)
+	VMOVUPS Y6, 192(AX)
+	VMOVUPS Y7, 224(AX)
 	VZEROUPPER
 	RET

@@ -44,7 +44,7 @@ func TestScreenArgMaxWithoutAVX(t *testing.T) {
 		if s.Bytes() != 0 {
 			t.Fatalf("built a %d-byte screen with no kernel to read it", s.Bytes())
 		}
-		if _, ok := s.ArgMax(make([]float64, 16), make([]float64, 24)); ok {
+		if s.ArgMax(New(1, 16), make([]float64, 24)) != nil {
 			t.Fatal("a screen that was never built answered")
 		}
 		testScreenArgMaxMatchesReference(t)

@@ -5,58 +5,97 @@ import "math"
 // screenMaxKept caps the columns Screen.ArgMax recomputes in fp64 for
 // one row. Each one is a strided walk down a column of the source; past
 // a few dozen the row is cheaper on the fp64 row sweep, so ArgMax hands
-// it back instead (ok false). On trained and random weights a row keeps
+// it back instead (class −1). On trained and random weights a row keeps
 // about one column.
 const screenMaxKept = 32
 
+// screenPanelCols is the width of a screen panel: the eight fp32
+// columns one YMM register holds.
+const screenPanelCols = 8
+
+// screenPadCols is the multiple of columns the panels are padded to with
+// zero columns: the sixty-four one screenRows1avx32 call covers, so no
+// kernel has a leftover path.
+const screenPadCols = 64
+
+// screenTileRows is the block of rows the 8×8 tile (screenTile8avx32)
+// scores at once. A pass's rows go to the tile in whole blocks, and the
+// 0–7 rows left over to the row kernels (four, then two, then one row
+// per call) rather than to a tile block padded with repeats of its last
+// row: the row kernels read the head once per call where the tile reads
+// each panel once per pass, but they compute no padding rows, and at
+// 5–7 rows that is worth more. Scoring the perf shape's fine head
+// (256×1002) on one core of a 2-vCPU Xeon VM (BenchmarkScreenScore,
+// five runs each, µs): 5 rows on the row kernels (4 + 1) 45–53 against
+// 69–119 on the padded tile; 6 rows (4 + 2) 53–78 against 72–82; 7 rows
+// (4 + 2 + 1) 66–101 against 71–99, a tie; 8 rows 77–110 on two 4-row
+// calls against 68–126 on one tile block.
+const screenTileRows = 8
+
 // Screen is a read-only copy of a K×N weight matrix for finding the
-// argmax of a·W + bias, one row a at a time, without reading W's fp64
-// bytes: an fp32 copy of W, scored with the fp32 row sweep
-// (rowSweep4avx32), and per column j the bound C_j = Σ_k |W_kj|. It
-// exists for the class head of a 1–4-row pass, where the fp64 sweep
-// streams 8·K·N bytes per row (2 MB at the perf shape's 256×1002, more
-// than a core's L2) and the fp32 copy is half of that.
+// argmax of a·W + bias for each row a of a pass without reading W's
+// fp64 bytes: W rounded to fp32 in eight-column panels, and the largest
+// column sum C = max_j Σ_k |W_kj|, which bounds the fp32 scores' error.
+// It exists for the class head, which streams 8·K·N bytes per pass in
+// fp64 (2 MB at the perf shape's 256×1002, more than a core's L2); the
+// fp32 panels are half that, and the fp32 kernels score eight columns
+// per register where fp64 scores four.
 //
-// What it answers is exact, not approximate: ArgMax returns the index
-// ArgMax(matMulReference(a, W) + bias) returns, bit for bit, or reports
-// that it cannot (see ArgMax for the proof). It never returns a logit —
-// the fp32 scores only decide which columns are worth computing in
-// fp64. Like Packed it is a snapshot: it keeps a reference to the
+// Panel p holds rows 0..K-1 of columns 8p..8p+7 contiguously (entry
+// (k, 8p+c) at panels[(p*K+k)*8+c]), so every kernel walks k through
+// sequential 32-byte steps: the 8×8 tile over one panel for each whole
+// block of eight rows of a pass, and for the rest the row kernels, which
+// cover one, two or four rows over eight, four or two adjacent panels
+// and load each panel vector once for all their rows. The columns are
+// padded with zero columns to a multiple of screenPadCols, whose scores
+// are never read.
+//
+// What it answers is exact, not approximate: ArgMax returns, for every
+// row it answers, the index ArgMax(matMulReference(a, W) + bias)
+// returns, bit for bit (see pick for the proof). It never returns a
+// logit — the fp32 scores only decide which columns are worth computing
+// in fp64. Like Packed it is a snapshot: it keeps a reference to the
 // source, which ArgMax reads for the columns it recomputes, and owners
 // drop it whenever the source changes (see nn.Param).
 type Screen struct {
-	src *Dense
-	w   []float32 // src rounded to fp32, row-major; nil when no screen was built
-	c   []float64 // c[j] = Σ_k |src(k, j)|
+	src    *Dense
+	cols   int       // N padded to a multiple of screenPadCols
+	panels []float32 // W rounded to fp32, in panels; nil when no screen was built
+	cMax   float64   // max_j Σ_k |src(k, j)|
 }
 
-// NewScreen builds the screen of w. Without the AVX sweep, for an empty
-// w, or when a weight lies outside fp32's finite range (its fp32 copy
-// would be infinite, and the error bound with it) nothing is built: the
-// Screen holds no copy and ArgMax always reports false.
+// NewScreen builds the screen of w. Without the AVX kernels, for an
+// empty w, or when a weight lies outside fp32's finite range (its fp32
+// copy would be infinite, and the error bound with it) nothing is built:
+// the Screen holds no copy and ArgMax answers nil.
 func NewScreen(w *Dense) *Screen {
 	s := &Screen{src: w}
-	if !useAVXGemm || w.Rows == 0 || w.Cols == 0 {
+	k, n := w.Rows, w.Cols
+	if !useAVXGemm || k == 0 || n == 0 {
 		return s
 	}
-	w32 := make([]float32, len(w.Data))
-	c := make([]float64, w.Cols)
-	for k := 0; k < w.Rows; k++ {
-		row := w.Row(k)
-		for j, v := range row {
+	cols := (n + screenPadCols - 1) / screenPadCols * screenPadCols
+	panels := make([]float32, k*cols)
+	c := make([]float64, n) // the column sums
+	for r := 0; r < k; r++ {
+		for j, v := range w.Row(r) {
 			if !(math.Abs(v) <= math.MaxFloat32) {
 				return s
 			}
-			w32[k*w.Cols+j] = float32(v)
+			p, col := j/screenPanelCols, j%screenPanelCols
+			panels[(p*k+r)*screenPanelCols+col] = float32(v)
 			c[j] += math.Abs(v)
 		}
 	}
-	s.w, s.c = w32, c
+	s.cols, s.panels = cols, panels
+	for _, cj := range c {
+		s.cMax = max(s.cMax, cj)
+	}
 	return s
 }
 
 // Bytes reports the size of the screen (0 when none was built).
-func (s *Screen) Bytes() int { return 4*len(s.w) + 8*len(s.c) }
+func (s *Screen) Bytes() int { return 4 * len(s.panels) }
 
 // gamma is the classic rounding-error constant γ_k = k·u/(1 − k·u) for
 // unit roundoff u: |fl(x) − x| ≤ γ_k·|x| for k chained roundings.
@@ -71,28 +110,131 @@ func gamma(k int, u float64) float64 {
 // either mode.
 const screenTiny = 0x1p-126
 
-// ArgMax returns ArgMax(a·W + bias) exactly as the fp64 path computes
-// it — the index mat.ArgMax returns on matMulReference(a, W) + bias,
-// the first of equal maxima — with ok true, or ok false when the screen
-// cannot answer and the caller must run the fp64 product: no screen was
-// built, a is not finite or exceeds fp32's range, a score or bias is not
-// finite, or more than screenMaxKept columns survive the screen. len(a)
-// must be K and len(bias) N.
+// ArgMax returns, for each row a of x, ArgMax(a·W + bias) exactly as
+// the fp64 path computes it — the index mat.ArgMax returns on
+// matMulReference(a, W) + bias, the first of equal maxima — or −1 for a
+// row the screen cannot answer, whose caller must run the fp64 product
+// for it: a is not finite or exceeds fp32's range, a score or bias is
+// not finite, or more than screenMaxKept columns survive the screen (see
+// pick). It returns nil when no screen was built. x must have K columns
+// and len(bias) must be N. Rows are independent: what one row holds
+// never changes another's answer.
+func (s *Screen) ArgMax(x *Dense, bias []float64) []int {
+	k, n := s.src.Rows, s.src.Cols
+	if x.Cols != k || len(bias) != n {
+		panic("mat: Screen.ArgMax operand shapes do not match the screened matrix")
+	}
+	if s.panels == nil {
+		return nil
+	}
+	rows := x.Rows
+	classes := make([]int, rows)
+	alpha := make([]float64, rows)
+	a32 := make([]float32, rows*k)
+	for i := range rows {
+		var ok bool
+		if alpha[i], ok = toFP32(a32[i*k:(i+1)*k], x.Row(i)); !ok {
+			clear(a32[i*k : (i+1)*k])
+			classes[i] = -1
+		}
+	}
+	scores := make([]float32, rows*s.cols)
+	s.score(scores, a32, rows, rows/screenTileRows*screenTileRows)
+	var bMax float64
+	for _, b := range bias {
+		if b := math.Abs(b); b > bMax {
+			bMax = b
+		}
+	}
+	for i := range rows {
+		if classes[i] >= 0 { // toFP32 refused the rows at −1
+			classes[i] = s.pick(scores[i*s.cols:i*s.cols+n], x.Row(i), bias, s.bound(alpha[i], bMax))
+		}
+	}
+	return classes
+}
+
+// bound is E, the bound on every column's |s_j − L_j| for a row with
+// α = max_k |a_k| and a bias with max_j |b_j| = bMax (see pick):
+//
+//	E = 2·[γ₃₂(m+3)·α·C + γ₆₄(m+2)·(α·C + bMax) + η·(m·α + C + 3m)].
+func (s *Screen) bound(alpha, bMax float64) float64 {
+	m, c := float64(s.src.Rows), s.cMax
+	g32, g64 := gamma(s.src.Rows+3, 0x1p-24), gamma(s.src.Rows+2, 0x1p-53)
+	return 2 * (g32*alpha*c + g64*(alpha*c+bMax) + screenTiny*(m*alpha+c+3*m))
+}
+
+// toFP32 rounds a into dst and returns α = max_k |a_k|, or ok false when
+// some a_k is not finite or would not fit in fp32.
+func toFP32(dst []float32, a []float64) (alpha float64, ok bool) {
+	for k, v := range a {
+		abs := math.Abs(v)
+		if !(abs <= math.MaxFloat32) {
+			return 0, false
+		}
+		if abs > alpha {
+			alpha = abs
+		}
+		dst[k] = float32(v)
+	}
+	return alpha, true
+}
+
+// score fills row i of scores (rows × s.cols) with the fp32 product of
+// row i of a (rows × K) and the panels: the rows [0, tiled) — a multiple
+// of screenTileRows — on the tile, the rest on the row kernels. The
+// tile runs panel-outer, block-inner, so one panel (8 KB at K = 256)
+// stays in L1 while every block passes over it; each row-kernel call
+// walks the whole head once.
+func (s *Screen) score(scores, a []float32, rows, tiled int) {
+	k, w := s.src.Rows, s.cols
+	stride := 4 * screenPanelCols * k // bytes from one panel to the next
+	ar := func(i int) *float32 { return &a[i*k] }
+	d := func(i, j int) *float32 { return &scores[i*w+j] }
+	panel := func(j int) *float32 { return &s.panels[j*k] }
+	for j := 0; j < w && tiled > 0; j += screenPanelCols {
+		for i := 0; i < tiled; i += screenTileRows {
+			screenTile8avx32(k, ar(i), ar(i+1), ar(i+2), ar(i+3), ar(i+4), ar(i+5), ar(i+6), ar(i+7),
+				panel(j), d(i, j), d(i+1, j), d(i+2, j), d(i+3, j), d(i+4, j), d(i+5, j), d(i+6, j), d(i+7, j))
+		}
+	}
+	i := tiled
+	for ; rows-i >= 4; i += 4 {
+		for j := 0; j < w; j += 2 * screenPanelCols {
+			screenRows4avx32(k, ar(i), ar(i+1), ar(i+2), ar(i+3), panel(j), stride,
+				d(i, j), d(i+1, j), d(i+2, j), d(i+3, j))
+		}
+	}
+	for ; rows-i >= 2; i += 2 {
+		for j := 0; j < w; j += 4 * screenPanelCols {
+			screenRows2avx32(k, ar(i), ar(i+1), panel(j), stride, d(i, j), d(i+1, j))
+		}
+	}
+	for ; i < rows; i++ {
+		for j := 0; j < w; j += 8 * screenPanelCols {
+			screenRows1avx32(k, ar(i), panel(j), stride, d(i, j))
+		}
+	}
+}
+
+// pick is ArgMax's answer for one row a with fp32 scores S_j (scores,
+// N long) under the bound e (bound): the class, or −1 when a score plus
+// its bias is not finite or more than screenMaxKept columns survive.
 //
 // How. Every column gets an fp32 score S_j (a and W rounded to fp32,
-// products and sums in fp32, zero inputs of a skipped) and a score
-// s_j = S_j + b_j in fp64. With L_j the fp64 logit and E_j ≥ |s_j − L_j|,
-// every column with s_j + E_j ≥ max_i (s_i − E_i) is kept and recomputed
-// exactly — fp64, ascending k, un-fused, plus the bias, which is
-// matMulReference's arithmetic and so L_j's bits — and the first
+// products and sums in fp32, in ascending k from zero) and a score
+// s_j = S_j + b_j in fp64. With L_j the fp64 logit and E ≥ |s_j − L_j|
+// for every j, every column with s_j ≥ max_i s_i − 2E is kept and
+// recomputed exactly — fp64, ascending k, un-fused, plus the bias, which
+// is matMulReference's arithmetic and so L_j's bits — and the first
 // maximum among the kept columns is returned.
 //
-// Why that is L's first argmax j*. For every i, s_j* + E_j* ≥ L_j* ≥
-// L_i ≥ s_i − E_i, so j* is kept; in floating point too, because L_j*
-// and L_i are fp64 numbers and rounding is monotone, so fl(s_j* + E_j*)
-// ≥ L_j* and fl(s_i − E_i) ≤ L_i. A kept column before j* has a
-// smaller logit than j* (j* is the first maximum) and one after it no
-// larger, so the first maximum among the kept columns is j*.
+// Why that is L's first argmax j*. With i the column of the largest
+// score, s_j* ≥ L_j* − E ≥ L_i − E ≥ s_i − 2E, so j* is kept; in
+// floating point too, because 2E is exact, s_j* is an fp64 number and
+// rounding is monotone, so s_j* ≥ fl(s_i − 2E). A kept column before j*
+// has a smaller logit than j* (j* is the first maximum) and one after it
+// no larger, so the first maximum among the kept columns is j*.
 //
 // The bound. Let m = K, α = max_k |a_k| and C_j = Σ_k |W_kj|, so
 // Σ_k |a_k·W_kj| ≤ α·C_j; write D_j = Σ_k a_k·W_kj exactly and
@@ -100,7 +242,8 @@ const screenTiny = 0x1p-126
 // is x(1+δ) + e with |δ| ≤ u₃₂ and |e| ≤ η.
 //   - fp32 rounding, relative: a term a_k·W_kj passes through the
 //     rounding of a_k, of W_kj, of the product and of at most m − 1
-//     partial sums, so these contribute at most γ₃₂(m+2)·α·C_j.
+//     partial sums (the first add, to zero, is exact), so these
+//     contribute at most γ₃₂(m+2)·α·C_j.
 //   - fp32 underflow, absolute: the e of a_k's rounding is multiplied by
 //     |W_kj| (C_j over all k), that of W_kj by |a_k| (m·α), the
 //     product's and each sum's add η (2m), all times (1+γ₃₂(m+1)) plus
@@ -116,86 +259,39 @@ const screenTiny = 0x1p-126
 //
 //	|s_j − L_j| ≤ γ₃₂(m+3)·α·C_j + γ₆₄(m+2)·(α·C_j + |b_j|) + η·(m·α + C_j + 3m),
 //
-// and E_j is twice that. The factor of 2 covers what the derivation
-// does not: C_j and E_j are themselves computed in fp64 (a few dozen
-// roundings of relative size u₆₄ at most), and the (1+γ) cross terms.
-func (s *Screen) ArgMax(a, bias []float64) (class int, ok bool) {
-	k, n := s.src.Rows, s.src.Cols
-	if len(a) != k || len(bias) != n {
-		panic("mat: Screen.ArgMax operand lengths do not match the screened matrix")
-	}
-	if s.w == nil {
-		return -1, false
-	}
-	scores := make([]float32, n)
-	alpha, ok := s.score(scores, a)
-	if !ok {
-		return -1, false
-	}
-	g32, g64 := gamma(k+3, 0x1p-24), gamma(k+2, 0x1p-53)
-	perC := 2 * ((g32+g64)*alpha + screenTiny)
-	perB := 2 * g64
-	fixed := 2 * screenTiny * (float64(k)*alpha + 3*float64(k))
-	bound := func(j int) float64 { return perC*s.c[j] + perB*math.Abs(bias[j]) + fixed }
-
-	maxLo := math.Inf(-1)
+// which grows with C_j and |b_j|, so twice its value at C = max_j C_j
+// and max_j |b_j| bounds every column: that is E. The factor of 2 covers
+// what the derivation does not: C and E are themselves computed in fp64
+// (a few dozen roundings of relative size u₆₄ at most), and the (1+γ)
+// cross terms. One E for the whole row, rather than one per column,
+// kept as few columns in measurement (1.005 a row over 20,000 random
+// perf-shape rows, 1.000 over a trained head's 432 test rows) and makes
+// the two passes below a compare each.
+func (s *Screen) pick(scores []float32, a, bias []float64, e float64) int {
+	sMax := math.Inf(-1)
 	for j, sc := range scores {
 		sj := float64(sc) + bias[j]
 		if !(math.Abs(sj) <= math.MaxFloat64) {
-			return -1, false
+			return -1
 		}
-		maxLo = max(maxLo, sj-bound(j))
+		if sj > sMax {
+			sMax = sj
+		}
 	}
+	cut := sMax - 2*e
 	best, bestLogit, kept := -1, 0.0, 0
 	for j, sc := range scores {
-		if float64(sc)+bias[j]+bound(j) < maxLo {
+		if float64(sc)+bias[j] < cut {
 			continue
 		}
 		if kept++; kept > screenMaxKept {
-			return -1, false
+			return -1
 		}
 		if logit := s.logit(a, bias, j); best < 0 || logit > bestLogit {
 			best, bestLogit = j, logit
 		}
 	}
-	return best, true
-}
-
-// score fills scores with the fp32 product a·W on the fp32 sweep, a's
-// zeros skipped: its non-zero inputs in groups of four, in ascending k,
-// the last group padded with zero inputs (a 0·w product adds nothing to
-// a score). It returns α = max |a_k|, or ok false when some a_k is not
-// finite or would not fit in fp32.
-func (s *Screen) score(scores []float32, a []float64) (alpha float64, ok bool) {
-	n := s.src.Cols
-	var (
-		av  [4]float32 // the group's inputs
-		off [4]int     // and where their rows of w start
-		g   int
-	)
-	for k, v := range a {
-		abs := math.Abs(v)
-		if !(abs <= math.MaxFloat32) {
-			return 0, false
-		}
-		alpha = max(alpha, abs)
-		v32 := float32(v)
-		if v32 == 0 {
-			continue
-		}
-		av[g], off[g] = v32, k*n
-		if g++; g == 4 {
-			rowSweep4avx32(n, &scores[0], &s.w[off[0]], &s.w[off[1]], &s.w[off[2]], &s.w[off[3]], &av[0])
-			g = 0
-		}
-	}
-	if g > 0 {
-		for l := g; l < 4; l++ {
-			av[l], off[l] = 0, off[0]
-		}
-		rowSweep4avx32(n, &scores[0], &s.w[off[0]], &s.w[off[1]], &s.w[off[2]], &s.w[off[3]], &av[0])
-	}
-	return alpha, true
+	return best
 }
 
 // logit is column j's fp64 logit as the fp64 path computes it: the

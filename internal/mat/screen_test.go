@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -13,15 +14,58 @@ func referenceArgMax(a []float64, w *Dense, bias []float64) int {
 	return ArgMax(logits.Row(0))
 }
 
-// checkScreen fails if the screen answers a differently from the
-// reference, and reports whether it answered at all.
+// passSizes are the pass sizes every single-row case runs at: each row
+// kernel (one, two and four rows) alone and combined, the tile and its
+// padded last block, one and several 8-row blocks.
+var passSizes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 33}
+
+// checkPass fails if the screen answers any row of x differently from
+// the reference, and reports which rows it answered.
+func checkPass(t *testing.T, what string, s *Screen, x, w *Dense, bias []float64) []bool {
+	t.Helper()
+	got := s.ArgMax(x, bias)
+	if got != nil && len(got) != x.Rows {
+		t.Fatalf("%s: %d classes for %d rows", what, len(got), x.Rows)
+	}
+	answered := make([]bool, x.Rows)
+	for i := range answered {
+		if got == nil || got[i] < 0 {
+			continue
+		}
+		answered[i] = true
+		if want := referenceArgMax(x.Row(i), w, bias); got[i] != want {
+			t.Fatalf("%s, row %d of %d: screen says class %d, the fp64 reference %d", what, i, x.Rows, got[i], want)
+		}
+	}
+	return answered
+}
+
+// checkScreen runs the row a through a pass of every size in passSizes,
+// as the last row after random trunk-like rows, and fails if the screen
+// answers any row of any pass differently from the reference. It
+// reports whether the screen answered a in every pass.
 func checkScreen(t *testing.T, what string, s *Screen, a []float64, w *Dense, bias []float64) bool {
 	t.Helper()
-	got, ok := s.ArgMax(a, bias)
-	if want := referenceArgMax(a, w, bias); ok && got != want {
-		t.Fatalf("%s: screen says class %d, the fp64 reference %d", what, got, want)
+	rng := NewRand(int64(len(a)))
+	ok := true
+	for _, size := range passSizes {
+		x := New(size, len(a))
+		for i := 0; i < size-1; i++ {
+			copy(x.Row(i), tanhRow(rng, len(a)))
+		}
+		copy(x.Row(size-1), a)
+		ok = checkPass(t, fmt.Sprintf("%s, %d-row pass", what, size), s, x, w, bias)[size-1] && ok
 	}
 	return ok
+}
+
+// argMax1 is the screen's answer for a pass of the one row a.
+func argMax1(s *Screen, a, bias []float64) (class int, ok bool) {
+	got := s.ArgMax(FromSlice(1, len(a), a), bias)
+	if got == nil || got[0] < 0 {
+		return -1, false
+	}
+	return got[0], true
 }
 
 // requireAnswers fails unless the screen answered, on hosts where one
@@ -43,8 +87,8 @@ func tanhRow(rng interface{ NormFloat64() float64 }, k int) []float64 {
 }
 
 // testScreenArgMaxMatchesReference holds the screen to the fp64
-// reference on random rows at the perf shape, at every loop boundary of
-// the fp32 sweep, and on the cases built to break a bound: exact ties,
+// reference on random rows at the perf shape in passes of 1 to 40 rows,
+// at every panel and kernel boundary, and on the cases built to break a bound: exact ties,
 // logits one ulp apart, zero rows, weights whose products underflow
 // fp32, weights fp32 cannot hold, and non-finite inputs.
 func testScreenArgMaxMatchesReference(t *testing.T) {
@@ -60,23 +104,30 @@ func testScreenArgMaxMatchesReference(t *testing.T) {
 			bias[j] = 0.1 * rng.NormFloat64()
 		}
 		s := NewScreen(w)
-		for r := 0; r < 300; r++ {
-			requireAnswers(t, "random row", checkScreen(t, "random row", s, tanhRow(rng, 256), w, bias))
+		for rows := 1; rows <= 40; rows++ {
+			x := New(rows, 256)
+			for i := 0; i < rows; i++ {
+				copy(x.Row(i), tanhRow(rng, 256))
+			}
+			for i, ok := range checkPass(t, fmt.Sprintf("%d-row pass", rows), s, x, w, bias) {
+				requireAnswers(t, fmt.Sprintf("row %d of a %d-row pass", i, rows), ok)
+			}
 		}
 	})
 
 	t.Run("every sweep boundary", func(t *testing.T) {
-		// k around the groups of four, n around the 32-, 8- and
-		// one-column steps; rows dense, sparse and with ±0.
-		for _, k := range []int{1, 2, 3, 4, 5, 7, 9, 33} {
-			for _, n := range []int{1, 2, 7, 8, 9, 31, 32, 33, 41, 64, 70} {
+		// n around the eight-column panels and the 16-, 32- and
+		// 64-column spans of the row kernels, which the zero columns
+		// pad; k from one step up; rows dense, sparse and with ±0.
+		for _, k := range []int{1, 2, 3, 5, 9, 33} {
+			for _, n := range []int{1, 7, 8, 9, 15, 16, 17, 32, 33, 63, 64, 65, 70} {
 				w, bias := New(k, n), make([]float64, n)
 				FillNormal(w, rng, 0, 1)
 				for j := range bias {
 					bias[j] = 0.1 * rng.NormFloat64()
 				}
 				s := NewScreen(w)
-				for r := 0; r < 6; r++ {
+				for r := 0; r < 4; r++ {
 					a := tanhRow(rng, k)
 					for i := range a {
 						switch (i + r) % 4 {
@@ -108,7 +159,7 @@ func testScreenArgMaxMatchesReference(t *testing.T) {
 		}
 		s := NewScreen(w)
 		requireAnswers(t, "tie", checkScreen(t, "tie", s, a, w, bias))
-		if got, ok := s.ArgMax(a, bias); ok && got != 3 {
+		if got, ok := argMax1(s, a, bias); ok && got != 3 {
 			t.Fatalf("three-way tie went to %d, want the first, 3", got)
 		}
 	})
@@ -206,7 +257,7 @@ func testScreenArgMaxMatchesReference(t *testing.T) {
 		if s.Bytes() != 0 {
 			t.Fatalf("built a %d-byte screen over a weight fp32 cannot hold", s.Bytes())
 		}
-		if _, ok := s.ArgMax(tanhRow(rng, 8), make([]float64, 8)); ok {
+		if s.ArgMax(FromSlice(1, 8, tanhRow(rng, 8)), make([]float64, 8)) != nil {
 			t.Fatal("a screen that was never built answered")
 		}
 	})
@@ -215,15 +266,27 @@ func testScreenArgMaxMatchesReference(t *testing.T) {
 		w, bias := New(8, 8), make([]float64, 8)
 		FillNormal(w, rng, 0, 1)
 		s := NewScreen(w)
+		// A bad row is handed back alone: the rest of its pass, in
+		// every kernel, still answers.
 		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e39} {
-			a := tanhRow(rng, 8)
-			a[3] = bad
-			if _, ok := s.ArgMax(a, bias); ok {
-				t.Fatalf("answered a row holding %v", bad)
+			for _, size := range passSizes {
+				x := New(size, 8)
+				for i := 0; i < size; i++ {
+					copy(x.Row(i), tanhRow(rng, 8))
+				}
+				x.Set(size/2, 3, bad)
+				for i, ok := range checkPass(t, fmt.Sprintf("%v in a %d-row pass", bad, size), s, x, w, bias) {
+					if i == size/2 && ok {
+						t.Fatalf("answered a row holding %v", bad)
+					}
+					if i != size/2 {
+						requireAnswers(t, fmt.Sprintf("a good row beside %v", bad), ok)
+					}
+				}
 			}
 		}
 		bias[6] = math.Inf(1)
-		if _, ok := s.ArgMax(tanhRow(rng, 8), bias); ok {
+		if _, ok := argMax1(s, tanhRow(rng, 8), bias); ok {
 			t.Fatal("answered with an infinite bias")
 		}
 	})
@@ -231,19 +294,20 @@ func testScreenArgMaxMatchesReference(t *testing.T) {
 
 func TestScreenArgMaxMatchesReference(t *testing.T) { testScreenArgMaxMatchesReference(t) }
 
-// FuzzScreenArgMax drives one row through the screen from raw bytes:
-// fuzzOperands' coarse values make exact ties and cancellations common,
-// and dup copies one column over another. Whenever the screen answers,
-// its answer must be the fp64 reference's.
+// FuzzScreenArgMax drives a pass of 1 to 40 rows — every row kernel
+// and the tile — through the screen from raw bytes: fuzzOperands' coarse
+// values make exact ties and cancellations common, and dup copies one
+// column over another. Whenever the screen answers a row, its answer
+// must be the fp64 reference's.
 func FuzzScreenArgMax(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(9), uint8(16), uint8(0))
-	f.Add([]byte{0x80, 0x7f, 0x01, 0xfe, 0x10}, uint8(17), uint8(6), uint8(3))
-	f.Add([]byte{0xff, 0x00, 0x3c, 0x00, 0xc3}, uint8(7), uint8(34), uint8(0x21))
-	f.Add(make([]byte, 64), uint8(5), uint8(9), uint8(0))
-	f.Add([]byte{200, 100, 50, 25, 12, 6, 3, 1}, uint8(47), uint8(40), uint8(0x52))
-	f.Fuzz(func(t *testing.T, raw []byte, kRaw, nRaw, dup uint8) {
-		k, n := 1+int(kRaw)%48, 1+int(nRaw)%40
-		a, w := fuzzOperands(raw, 1, k, n)
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(0), uint8(9), uint8(16), uint8(0))
+	f.Add([]byte{0x80, 0x7f, 0x01, 0xfe, 0x10}, uint8(4), uint8(17), uint8(6), uint8(3))
+	f.Add([]byte{0xff, 0x00, 0x3c, 0x00, 0xc3}, uint8(6), uint8(7), uint8(34), uint8(0x21))
+	f.Add(make([]byte, 64), uint8(1), uint8(5), uint8(9), uint8(0))
+	f.Add([]byte{200, 100, 50, 25, 12, 6, 3, 1}, uint8(32), uint8(47), uint8(40), uint8(0x52))
+	f.Fuzz(func(t *testing.T, raw []byte, rowsRaw, kRaw, nRaw, dup uint8) {
+		rows, k, n := 1+int(rowsRaw)%40, 1+int(kRaw)%48, 1+int(nRaw)%40
+		a, w := fuzzOperands(raw, rows, k, n)
 		if from, to := int(dup&0x0f)%n, int(dup>>4)%n; from != to {
 			for r := 0; r < k; r++ {
 				w.Set(r, to, w.At(r, from))
@@ -253,6 +317,43 @@ func FuzzScreenArgMax(f *testing.F) {
 		for j := range bias {
 			bias[j] = w.At(j%k, (j*7)%n)
 		}
-		checkScreen(t, "fuzzed row", NewScreen(w), a.Row(0), w, bias)
+		checkPass(t, "fuzzed pass", NewScreen(w), a, w, bias)
 	})
+}
+
+// BenchmarkScreenScore times the fp32 scoring of a pass at the perf
+// shape's fine head (256×1002) on the two ways a pass of 5–8 rows could
+// run: one tile block, padded to eight rows with repeats of the last, or
+// the row kernels (four, two and one rows per call), which read the head
+// once per call. screenTileRows is chosen from it.
+func BenchmarkScreenScore(b *testing.B) {
+	w := New(256, 1002)
+	lim := math.Sqrt(6.0 / (256 + 1002))
+	FillUniform(w, NewRand(1), -lim, lim)
+	s := NewScreen(w)
+	if s.Bytes() == 0 {
+		b.Skip("no screen on this host")
+	}
+	// The tile scores the pass padded to eight rows with repeats of its
+	// last row.
+	for rows := 5; rows <= 8; rows++ {
+		a := make([]float32, 8*256)
+		for i, v := range tanhRow(NewRand(2), rows*256) {
+			a[i] = float32(v)
+		}
+		for i := rows; i < 8; i++ {
+			copy(a[i*256:(i+1)*256], a[(rows-1)*256:rows*256])
+		}
+		scores := make([]float32, 8*s.cols)
+		b.Run(fmt.Sprintf("rows=%d/tile", rows), func(b *testing.B) {
+			for range b.N {
+				s.score(scores, a, 8, 8)
+			}
+		})
+		b.Run(fmt.Sprintf("rows=%d/rowkernels", rows), func(b *testing.B) {
+			for range b.N {
+				s.score(scores, a, rows, 0)
+			}
+		})
+	}
 }

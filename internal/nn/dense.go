@@ -81,23 +81,22 @@ func (d *Dense) Pack() { d.Weight.Pack() }
 func (d *Dense) Screen() { d.Weight.Screen() }
 
 // ScreenedArgMax returns the argmax of each row of Forward(x, false) —
-// mat.ArgMax's answer on those logits, bit for bit — without computing
-// the logits, or nil. It answers passes under mat.PackedMinRows rows
-// from the screen the owner built (Screen); with no screen, a larger
-// pass, or a row the screen hands back (mat.Screen.ArgMax), it returns
-// nil and the caller runs Forward.
+// mat.ArgMax's answer on those logits, bit for bit — from the screen the
+// owner built (Screen), without computing the pass's logits, or nil when
+// there is no screen and the caller runs Forward. A row the screen hands
+// back (mat.Screen.ArgMax) gets its class from Forward on that row
+// alone.
 func (d *Dense) ScreenedArgMax(x *mat.Dense) []int {
 	s := d.Weight.screen.Load()
-	if s == nil || x.Rows >= mat.PackedMinRows {
+	if s == nil {
 		return nil
 	}
-	classes := make([]int, x.Rows)
-	for i := range classes {
-		c, ok := s.ArgMax(x.Row(i), d.Bias.W.Data)
-		if !ok {
-			return nil
+	classes := s.ArgMax(x, d.Bias.W.Data)
+	for i, c := range classes {
+		if c < 0 {
+			row := mat.FromSlice(1, x.Cols, x.Row(i))
+			classes[i] = mat.ArgMax(d.Forward(row, false).Row(0))
 		}
-		classes[i] = c
 	}
 	return classes
 }

@@ -36,9 +36,9 @@ type Param struct {
 
 	// packed is the panel-layout copy of W that batched inference
 	// multiplies by (mat.Packed), or nil; screen is the fp32 copy a
-	// class head's 1–4-row passes find their argmax with (mat.Screen), or
-	// nil. Both are snapshots, so everything in this package that writes
-	// W drops them first or after (dropCopies) — a training Forward, an
+	// class head's passes find their argmax with (mat.Screen), or nil.
+	// Both are snapshots, so everything in this package that writes W
+	// drops them first or after (dropCopies) — a training Forward, an
 	// optimizer Step, LoadParams — and inference only ever loads the
 	// pointers; only Pack and Screen, which no inference or training
 	// entry point calls, build them.
@@ -66,10 +66,10 @@ func (p *Param) Pack() {
 }
 
 // Screen builds the screen of W (mat.Screen) that
-// Dense.ScreenedArgMax answers 1–4-row passes from, unless one is
-// current. It costs an fp32 copy of W, half W's size, and a pass over
-// W; like Pack it is the owner's call, safe while other goroutines run
-// inference on the parameter, not while one trains.
+// Dense.ScreenedArgMax answers passes from, unless one is current. It
+// costs an fp32 copy of W, half W's size, and a pass over W; like Pack
+// it is the owner's call, safe while other goroutines run inference on
+// the parameter, not while one trains.
 func (p *Param) Screen() {
 	if p.screen.Load() == nil {
 		p.screen.Store(mat.NewScreen(p.W))

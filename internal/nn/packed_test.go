@@ -129,15 +129,16 @@ func screenAll(net *Sequential) {
 	}
 }
 
-// sameHeadClasses fails unless net's head answers 1–4-row passes with
-// the argmax twin's plain forward gives — from its screen where one is
-// current (a stale one would answer from the old weights).
+// sameHeadClasses fails unless net's head answers passes of every row
+// count the screen's kernels split differently (1–9, 16, 17 rows) with
+// the argmax the twin's plain forward gives — from its screen where one
+// is current (a stale one would answer from the old weights).
 func sameHeadClasses(t *testing.T, what string, net, twin *Sequential) {
 	t.Helper()
 	head, twinHead := net.Layers[len(net.Layers)-1].(*Dense), twin.Layers[len(twin.Layers)-1].(*Dense)
-	x := mat.New(4, head.In)
+	x := mat.New(17, head.In)
 	mat.FillNormal(x, mat.NewRand(11), 0, 1)
-	for rows := 1; rows <= x.Rows; rows++ {
+	for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17} {
 		xb := mat.FromSlice(rows, x.Cols, x.Data[:rows*x.Cols])
 		classes := head.ScreenedArgMax(xb)
 		if classes == nil {
@@ -155,12 +156,13 @@ func sameHeadClasses(t *testing.T, what string, net, twin *Sequential) {
 	}
 }
 
-// The screen answers exactly what the logits would, and only the
-// passes it is for: under mat.PackedMinRows rows, once built.
+// The screen answers exactly what the logits would, at every pass size,
+// once built — and a row it hands back gets its class from the fp64
+// head alone while the rest of the pass keeps the screen's answers.
 func TestScreenedArgMaxMatchesForward(t *testing.T) {
 	net, _ := packedNet(5)
 	head := net.Layers[len(net.Layers)-1].(*Dense)
-	x := mat.New(mat.PackedMinRows, head.In)
+	x := mat.New(9, head.In)
 	mat.FillNormal(x, mat.NewRand(2), 0, 1)
 	one := mat.FromSlice(1, x.Cols, x.Data[:x.Cols])
 	if head.ScreenedArgMax(one) != nil {
@@ -170,12 +172,18 @@ func TestScreenedArgMaxMatchesForward(t *testing.T) {
 	if ScreenBytes(head.Params()) == 0 {
 		t.Skip("no screen on this host")
 	}
-	if head.ScreenedArgMax(x) != nil {
-		t.Fatalf("answered a %d-row pass, which the packed panels serve", x.Rows)
-	}
 	sameHeadClasses(t, "screened", net, net)
-	if head.ScreenedArgMax(one) == nil {
-		t.Fatal("the screen did not answer a lone row")
+	if head.ScreenedArgMax(one) == nil || head.ScreenedArgMax(x) == nil {
+		t.Fatal("the screen did not answer")
+	}
+	// Row 4's activations beyond fp32's range: the screen hands that
+	// row back, and Forward on it alone answers it.
+	x.Set(4, 0, 1e39)
+	got, want := head.ScreenedArgMax(x), head.Forward(x, false)
+	for i, c := range got {
+		if w := mat.ArgMax(want.Row(i)); c != w {
+			t.Fatalf("row %d of a pass with a handed-back row: class %d, the logits give %d", i, c, w)
+		}
 	}
 }
 

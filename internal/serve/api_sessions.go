@@ -8,6 +8,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"strings"
 
 	"noble/internal/geo"
 	"noble/internal/obs"
@@ -204,6 +205,12 @@ func opTrackStream(x *exchange) {
 	}
 	defer cancel()
 
+	// A client that sent Expect: 100-continue (the SDK's streams do)
+	// sends its body only after a go-ahead, and the response committed
+	// below would end the exchange without one: send it first.
+	if strings.EqualFold(x.r.Header.Get("Expect"), "100-continue") {
+		x.w.WriteHeader(http.StatusContinue)
+	}
 	x.w.Header().Set("Content-Type", "application/x-ndjson")
 	rc := http.NewResponseController(x.w)
 	// The stream interleaves reads of the request body with writes of

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -258,6 +260,38 @@ func TestV2SessionsLifecycle(t *testing.T) {
 	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v2/sessions/v2dev", nil))
 	if w.Code != http.StatusNotFound || decodeEnvelope(t, w.Body.Bytes()).Code != CodeSessionNotFound {
 		t.Fatalf("get after delete: %d %s", w.Code, w.Body)
+	}
+}
+
+// A stream request that expects 100-continue gets the go-ahead before
+// the stream's 200: the SDK's transport sends the body only after it,
+// and sends none at all once a 200 without it has ended the exchange.
+func TestV2TrackStreamSendsGoAhead(t *testing.T) {
+	ts := httptest.NewServer(newTestServer(t, 0).Handler())
+	defer ts.Close()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	io.WriteString(conn, "POST /v2/track/stream HTTP/1.1\r\nHost: noble\r\nExpect: 100-continue\r\n"+
+		"Transfer-Encoding: chunked\r\nContent-Type: application/x-ndjson\r\n\r\n")
+	br := bufio.NewReader(conn)
+	line := func() string {
+		l, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.TrimRight(l, "\r\n")
+	}
+	if got := line(); got != "HTTP/1.1 100 Continue" {
+		t.Fatalf("first response line %q, want the go-ahead", got)
+	}
+	for line() != "" { // the go-ahead's header lines
+	}
+	if got := line(); got != "HTTP/1.1 200 OK" {
+		t.Fatalf("after the go-ahead %q, want the stream's 200", got)
 	}
 }
 

@@ -174,8 +174,8 @@ func (e *Engine) resolveModel(name, kind string) (*Model, *Error) {
 // retired. Per-row pass latency is recorded on the generation, feeding
 // the p99 the promotion policy bounds. The model's first pass also
 // builds its fine-head screen, and its first pass of mat.PackedMinRows
-// rows or more its packed weight copy (Model.packFor), inside the timed
-// span: the caller waits for them.
+// rows or more the packed copy of its other weights (Model.packFor),
+// inside the timed span: the caller waits for them.
 func (e *Engine) predictWiFiBatch(model string, rows [][]float64) ([]core.WiFiPrediction, error) {
 	m, ok := e.reg.ResolveGen(model)
 	if !ok || m.WiFi == nil {

@@ -63,15 +63,14 @@ type Model struct {
 // model. The first pass of any size builds a WiFi model's fine-head
 // screen (core.WiFiModel.ScreenFineHead: an fp32 copy of the head, ~1 MB
 // per placed WiFi generation at the bench shape, about a millisecond to
-// build), from which its 1–4-row passes take their class. The first pass
-// of mat.PackedMinRows rows or more builds the packed copy of the dense
-// weights that such passes read from then on
+// build), from which every pass takes its class. The first pass of
+// mat.PackedMinRows rows or more builds the packed copy of the other
+// dense weights — the trunk, and the building and floor heads, ~0.9 MB
+// at the bench shape — which only such passes read
 // (core.WiFiModel.PackWeights). Concurrent first passes wait for the one
 // build of each. Deferring the panels to here, rather than packing when
 // the model is placed, keeps a deployment that never batches — lone
-// fixes, tracking sessions — at one fp64 copy of its weights and out of
-// the ~3 ms build; the screen is built on the first pass because every
-// deployment's lone fixes use it.
+// fixes, tracking sessions — at one fp64 copy of its weights.
 func (m *Model) packFor(rows int) {
 	m.screened.Do(func() {
 		if m.WiFi != nil {

@@ -327,9 +327,10 @@ func batchedLocalizeMatchesUnbatched(t *testing.T, n int) {
 // A placed model is packed by the first pass large enough to read the
 // panels, not before: lone fixes and small passes leave it at one fp64
 // copy of its weights (and the fine-head screen, which its first pass of
-// any size builds). Callers racing through that first pass (batching
-// off, so each runs its own; run under -race) wait for one build and all
-// get the lone-Predict answer.
+// any size builds and every pass reads). Callers racing through a first
+// 32-row pass — two split chunks on the screen's tile (batching off, so
+// each runs its own; run under -race) — wait for one build and all get
+// the lone-Predict answer.
 func TestFirstLargePassPacksThePlacedModelOnce(t *testing.T) {
 	fixtures(t)
 	wifi, reference := core.NewWiFiModel(wifiDS, wifiCfg), core.NewWiFiModel(wifiDS, wifiCfg)
@@ -365,7 +366,7 @@ func TestFirstLargePassPacksThePlacedModelOnce(t *testing.T) {
 		t.Fatal("the twin no engine serves was screened")
 	}
 
-	const callers, rows = 8, 9
+	const callers, rows = 8, 32
 	got := make([][]core.WiFiPrediction, callers)
 	var wg sync.WaitGroup
 	start := make(chan struct{})
