@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -438,20 +437,15 @@ func TestTrackStreamInteractive(t *testing.T) {
 }
 
 // A server that commits its 200 before reading the body and sends no
-// 100 Continue — as noble-serve did before the go-ahead — ends the
-// exchange that expected one without the body. The stream opens again
-// without the expectation and works, and the server acts on the open
-// line once.
-func TestTrackStreamWithoutGoAhead(t *testing.T) {
+// 100 Continue ends the exchange that expected one: the SDK's stream
+// needs the go-ahead, and without it TrackStream fails at once with
+// io.ErrClosedPipe rather than streaming. The server sees no line.
+func TestTrackStreamNeedsGoAhead(t *testing.T) {
 	var (
 		mu    sync.Mutex
 		lines []string
-		opens int
 	)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		opens++
-		mu.Unlock()
 		rc := http.NewResponseController(w)
 		rc.EnableFullDuplex()
 		w.WriteHeader(http.StatusOK)
@@ -460,31 +454,18 @@ func TestTrackStreamWithoutGoAhead(t *testing.T) {
 		for sc.Scan() {
 			mu.Lock()
 			lines = append(lines, sc.Text())
-			seq := len(lines)
 			mu.Unlock()
-			fmt.Fprintf(w, "{\"seq\":%d}\n", seq)
-			rc.Flush()
 		}
 	}))
 	defer ts.Close()
-	st, err := client.New(ts.URL).TrackStream(context.Background(), client.StreamOpen{Session: "s"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if u, err := st.Recv(); err != nil || u.Seq != 1 {
-		t.Fatalf("open ack: %+v err %v", u, err)
-	}
-	if err := st.Send(client.AppendRequest{Features: []float64{1}}); err != nil {
-		t.Fatal(err)
-	}
-	if u, err := st.Recv(); err != nil || u.Seq != 2 {
-		t.Fatalf("second line: %+v err %v", u, err)
+	_, err := client.New(ts.URL).TrackStream(context.Background(), client.StreamOpen{Session: "s"})
+	if !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("err %v, want io.ErrClosedPipe", err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if opens != 2 || len(lines) != 2 || !strings.Contains(lines[0], `"session":"s"`) {
-		t.Fatalf("server saw %d opens and lines %q, want 2 opens and the open line once", opens, lines)
+	if len(lines) != 0 {
+		t.Fatalf("server saw lines %q, want none", lines)
 	}
 }
 

@@ -3,7 +3,6 @@ package client
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"sync"
@@ -54,23 +53,11 @@ type TrackStream struct {
 //
 // The request asks the server to expect 100-continue, so one that
 // answers without reading the body (a server without the route: a plain
-// 404) sends that answer at once. A server that commits a 200 before it
-// reads — and sends no go-ahead, as servers before the go-ahead did —
-// ends that exchange without the body; the stream is then opened once
-// more without the expectation. That exchange carried no line, so the
-// server acted on nothing.
+// 404) sends that answer at once. The server must send the go-ahead
+// before it commits its 200, as noble-serve does: the body of an
+// exchange that ends without one is never sent, and TrackStream fails
+// with io.ErrClosedPipe.
 func (c *Client) TrackStream(ctx context.Context, open StreamOpen) (*TrackStream, error) {
-	st, err := c.openStream(ctx, open, true)
-	if errors.Is(err, io.ErrClosedPipe) {
-		st, err = c.openStream(ctx, open, false)
-	}
-	return st, err
-}
-
-// openStream is one attempt at TrackStream, with or without Expect:
-// 100-continue. A body the transport declined to send shows as
-// io.ErrClosedPipe from the open line's write.
-func (c *Client) openStream(ctx context.Context, open StreamOpen, expect bool) (*TrackStream, error) {
 	pr, pw := io.Pipe()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v2/track/stream", pr)
 	if err != nil {
@@ -78,9 +65,7 @@ func (c *Client) openStream(ctx context.Context, open StreamOpen, expect bool) (
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/x-ndjson")
-	if expect {
-		req.Header.Set("Expect", "100-continue")
-	}
+	req.Header.Set("Expect", "100-continue")
 	// The body is open-ended, so nothing but ctx ends a request whose
 	// server never reads it: when ctx ends, the pipe fails and so does
 	// every wait on it.

@@ -47,6 +47,10 @@ func (l *wireLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		l.record(strings.Split(r.URL.Path, "/")[3], r.URL.Path, string(body))
 		io.WriteString(w, `{}`)
 	case r.URL.Path == "/v2/track/stream":
+		// The SDK's stream waits for the go-ahead before it sends its body.
+		if r.Header.Get("Expect") == "100-continue" {
+			w.WriteHeader(http.StatusContinue)
+		}
 		w.WriteHeader(http.StatusOK)
 		rc := http.NewResponseController(w)
 		rc.EnableFullDuplex()

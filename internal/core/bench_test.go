@@ -73,13 +73,12 @@ func perfShapeWiFi() *WiFiModel {
 // lone device and an open-loop fleet produce: the trunk runs on
 // mat.MatMulInto's row-sweep kernels (mat.BenchmarkGemmB1–4 has the
 // kernels alone) and the screen on its row kernels. Five to seven rows
-// are where the trunk moves to the packed tile and the screen's tile
-// would compute padding rows (mat.BenchmarkScreenScore has the screen
-// alone); 8 to 32 rows are a localize_bulk request's pass and the chunk
-// sizes splitPass could cut it into — run them at -cpu 1,2 to see the
-// one-core rate per chunk size and what the second core buys a split
-// pass. gflop/s counts the model's nominal FLOPs, skipped zeros
-// included.
+// are where the trunk moves to the packed tile, which computes padding
+// rows (mat.BenchmarkScreenScore has the screen alone); 8 to 32 rows
+// are a localize_bulk request's pass and the chunk sizes splitPass
+// could cut it into — run them at -cpu 1,2 to see the one-core rate per
+// chunk size and what the second core buys a split pass. gflop/s counts
+// the model's nominal FLOPs, skipped zeros included.
 func benchmarkWiFiPredictRows(b *testing.B, size int) {
 	m := perfShapeWiFi()
 	m.PackWeights()

@@ -28,9 +28,9 @@ func heardFingerprints(width, n int, seed int64) [][]float64 {
 }
 
 // requireScreenedLikeTwin runs every row of fps through passes of 1 to
-// 40 rows — every row kernel, the tile, and passes splitPass cuts into
-// chunks — on the screened model and on its never-screened twin and
-// requires the same predictions. It also requires that the screen itself
+// 40 rows — every row kernel alone and combined, and passes splitPass
+// cuts into chunks — on the screened model and on its never-screened
+// twin and requires the same predictions. It also requires that the screen itself
 // answered nearly every row, so the comparison is not of the fp64 path
 // with itself.
 func requireScreenedLikeTwin(t *testing.T, screened, twin *WiFiModel, fps [][]float64) {

@@ -7,15 +7,14 @@ import (
 
 // passChunkRows is the row count of one chunk of a split forward pass
 // (splitPass). At the perf shape, trunk packed and fine class screened
-// as serve builds them, one core runs 8, 16, 24 and 32 rows in 399, 709,
-// 1075 and 1513 µs — 50 µs a row at 8 rows, 44–47 from 16 up — and on
-// two cores a 32-row pass takes 874 µs as two 16-row chunks and 963 µs
-// as four 8-row ones. 8-row chunks would also split 9–16-row passes (16
-// rows: 479 µs on two cores against 757 as one chunk), but the four
-// sizes cost −4 to +9 % CPU a row on one core as 8-row chunks
+// as serve builds them, one core runs 8, 16, 24 and 32 rows in 368, 722,
+// 984 and 1410 µs — 41–46 µs a row at every size — and on two cores a
+// 32-row pass takes 869 µs as two 16-row chunks and 870 µs as four 8-row
+// ones. 8-row chunks would also split 9–16-row passes (16 rows: 422 µs
+// on two cores against 700 as one chunk), but the sizes above 8 cost
+// −2 to +5 % CPU a row on one core as 8-row chunks
 // (BenchmarkWiFiPredictRows{8,16,24,32}, medians of five -cpu 1,2 runs
-// alternating with a passChunkRows = 8 build, on a 2-vCPU Xeon VM in a
-// slow phase: the same 32-row pass read 0.9–1.4 ms in other runs). At
+// alternating with a passChunkRows = 8 build, on a 2-vCPU Xeon VM). At
 // 16, a lone device's passes and an open-loop fleet's (1.4 rows on
 // average at 2000 fingerprints/s) are one chunk and run exactly the
 // one-core code. Splitting those short passes does not pay either: a

@@ -138,7 +138,7 @@ func TestSplitPassHelperPanicSurfacesOnCaller(t *testing.T) {
 
 // A 33-row pass on a perf-shape model screened and packed as serve
 // builds it runs as three chunks (16, 16, 1) that score on the screen's
-// tile and its one-row kernel at once on two cores, from four callers at
+// 4-row and one-row kernels at once on two cores, from four callers at
 // once (run under -race): every row answers what the never-screened twin
 // answers.
 func TestSplitPassScreenedMatchesNeverScreened(t *testing.T) {

@@ -74,18 +74,10 @@ func rowSweep4x2avx(n int, d0, d1, b0, b1, b2, b3, a0, a1 *float64)
 //go:noescape
 func rowSweep1avx(n int, d, b *float64, a float64)
 
-// screenTile8avx32 is gemm8x4avx in fp32 over one eight-column screen
-// panel (Screen): d_r[c] = Σ_k a_r[k]·b[8k+c] for r in 0..7, c in 0..7,
-// un-fused, ascending k, from zero. It scores a pass's whole blocks of
-// eight rows.
-//
-//go:noescape
-func screenTile8avx32(kn int, a0, a1, a2, a3, a4, a5, a6, a7 *float32,
-	b *float32, d0, d1, d2, d3, d4, d5, d6, d7 *float32)
-
-// screenRows4avx32 is the tile's k walk for four rows over two adjacent
-// panels, stride bytes apart: sixteen columns per row, each panel
-// vector loaded once for the four rows.
+// screenRows4avx32 scores four rows over two adjacent eight-column
+// screen panels (Screen), stride bytes apart: d_r receives, for each of
+// the panels' sixteen columns j, Σ_k a_r[k]·W_kj, un-fused, in ascending
+// k from zero, with each panel vector loaded once for the four rows.
 //
 //go:noescape
 func screenRows4avx32(kn int, a0, a1, a2, a3 *float32, b *float32, stride int,

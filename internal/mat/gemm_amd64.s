@@ -6,9 +6,9 @@
 // row per k step (every pass of five rows or more). The row sweep —
 // rowSweep4avx, rowSweep4x2avx, rowSweep1avx — keeps four k in registers
 // while it walks along b's rows (passes of one to four rows). The
-// screen kernels — screenTile8avx32 and screenRows{4,2,1}avx32 — are
-// their fp32 forms over eight-column panels, which score the class-head
-// screen (screen.go). Go declarations and measured rates: gemm_amd64.go,
+// screen kernels — screenRows{4,2,1}avx32 — are the row sweep's k walk
+// in fp32 over eight-column panels, which score the class-head screen
+// (screen.go). Go declarations and measured rates: gemm_amd64.go,
 // matMulRows, Screen.
 
 #include "textflag.h"
@@ -427,98 +427,13 @@ sweep1done:
 	VZEROUPPER
 	RET
 
-// func screenTile8avx32(kn int, a0, a1, a2, a3, a4, a5, a6, a7 *float32,
-//                       b *float32, d0, d1, d2, d3, d4, d5, d6, d7 *float32)
-//
-// gemm8x4avx in fp32 over one eight-column screen panel: Y0..Y7 are the
-// rows' accumulators, Y8 the panel's eight values at step k, Y9 the
-// broadcast a value, Y10 the product. Per k step it runs the fp64
-// tile's loads and ops — one panel load, eight VBROADCASTSS, eight
-// VMULPS, eight VADDPS — and covers eight columns instead of four. The
-// panel is one sequential run of 32·kn bytes. The sums start from zero
-// and are stored, not added, into d0..d7.
-TEXT ·screenTile8avx32(SB), NOSPLIT, $0-144
-	MOVQ kn+0(FP), CX
-	MOVQ a0+8(FP), R8
-	MOVQ a1+16(FP), R9
-	MOVQ a2+24(FP), R10
-	MOVQ a3+32(FP), R11
-	MOVQ a4+40(FP), R12
-	MOVQ a5+48(FP), R13
-	MOVQ a6+56(FP), R14
-	MOVQ a7+64(FP), R15
-	MOVQ b+72(FP), BX
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-
-	XORQ SI, SI            // k index
-	TESTQ CX, CX
-	JZ    tile32store
-
-tile32k:
-	VMOVUPS (BX), Y8
-
-	VBROADCASTSS (R8)(SI*4), Y9
-	VMULPS Y8, Y9, Y10
-	VADDPS Y10, Y0, Y0
-	VBROADCASTSS (R9)(SI*4), Y9
-	VMULPS Y8, Y9, Y10
-	VADDPS Y10, Y1, Y1
-	VBROADCASTSS (R10)(SI*4), Y9
-	VMULPS Y8, Y9, Y10
-	VADDPS Y10, Y2, Y2
-	VBROADCASTSS (R11)(SI*4), Y9
-	VMULPS Y8, Y9, Y10
-	VADDPS Y10, Y3, Y3
-	VBROADCASTSS (R12)(SI*4), Y9
-	VMULPS Y8, Y9, Y10
-	VADDPS Y10, Y4, Y4
-	VBROADCASTSS (R13)(SI*4), Y9
-	VMULPS Y8, Y9, Y10
-	VADDPS Y10, Y5, Y5
-	VBROADCASTSS (R14)(SI*4), Y9
-	VMULPS Y8, Y9, Y10
-	VADDPS Y10, Y6, Y6
-	VBROADCASTSS (R15)(SI*4), Y9
-	VMULPS Y8, Y9, Y10
-	VADDPS Y10, Y7, Y7
-
-	ADDQ $32, BX
-	INCQ SI
-	CMPQ SI, CX
-	JLT  tile32k
-
-tile32store:
-	MOVQ d0+80(FP), AX
-	VMOVUPS Y0, (AX)
-	MOVQ d1+88(FP), AX
-	VMOVUPS Y1, (AX)
-	MOVQ d2+96(FP), AX
-	VMOVUPS Y2, (AX)
-	MOVQ d3+104(FP), AX
-	VMOVUPS Y3, (AX)
-	MOVQ d4+112(FP), AX
-	VMOVUPS Y4, (AX)
-	MOVQ d5+120(FP), AX
-	VMOVUPS Y5, (AX)
-	MOVQ d6+128(FP), AX
-	VMOVUPS Y6, (AX)
-	MOVQ d7+136(FP), AX
-	VMOVUPS Y7, (AX)
-	VZEROUPPER
-	RET
-
 // func screenRows4avx32(kn int, a0, a1, a2, a3 *float32, b *float32, stride int,
 //                       d0, d1, d2, d3 *float32)
 //
-// The tile's k walk for four rows over two adjacent panels (sixteen
-// columns): each panel vector loaded is used by all four rows. Y0..Y7
+// Four rows over two adjacent panels (sixteen columns): each panel
+// vector loaded is used by all four rows. The sums are un-fused
+// VMULPS/VADDPS in ascending k, start from zero and are stored, not
+// added, into d0..d3. Y0..Y7
 // hold row r's two panels in Y(2r), Y(2r+1); Y8, Y9 the panels' values
 // at step k; Y10 the broadcast a value; Y11 the product. stride is the
 // distance between panels in bytes (32·kn). d_r receives sixteen sums.

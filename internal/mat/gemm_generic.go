@@ -25,11 +25,6 @@ func rowSweep1avx(n int, d, b *float64, a float64) {
 	panic("mat: rowSweep1avx called on non-amd64 build")
 }
 
-func screenTile8avx32(kn int, a0, a1, a2, a3, a4, a5, a6, a7 *float32,
-	b *float32, d0, d1, d2, d3, d4, d5, d6, d7 *float32) {
-	panic("mat: screenTile8avx32 called on non-amd64 build")
-}
-
 func screenRows4avx32(kn int, a0, a1, a2, a3 *float32, b *float32, stride int,
 	d0, d1, d2, d3 *float32) {
 	panic("mat: screenRows4avx32 called on non-amd64 build")

@@ -18,20 +18,6 @@ const screenPanelCols = 8
 // kernel has a leftover path.
 const screenPadCols = 64
 
-// screenTileRows is the block of rows the 8×8 tile (screenTile8avx32)
-// scores at once. A pass's rows go to the tile in whole blocks, and the
-// 0–7 rows left over to the row kernels (four, then two, then one row
-// per call) rather than to a tile block padded with repeats of its last
-// row: the row kernels read the head once per call where the tile reads
-// each panel once per pass, but they compute no padding rows, and at
-// 5–7 rows that is worth more. Scoring the perf shape's fine head
-// (256×1002) on one core of a 2-vCPU Xeon VM (BenchmarkScreenScore,
-// five runs each, µs): 5 rows on the row kernels (4 + 1) 45–53 against
-// 69–119 on the padded tile; 6 rows (4 + 2) 53–78 against 72–82; 7 rows
-// (4 + 2 + 1) 66–101 against 71–99, a tie; 8 rows 77–110 on two 4-row
-// calls against 68–126 on one tile block.
-const screenTileRows = 8
-
 // Screen is a read-only copy of a K×N weight matrix for finding the
 // argmax of a·W + bias for each row a of a pass without reading W's
 // fp64 bytes: W rounded to fp32 in eight-column panels, and the largest
@@ -43,12 +29,12 @@ const screenTileRows = 8
 //
 // Panel p holds rows 0..K-1 of columns 8p..8p+7 contiguously (entry
 // (k, 8p+c) at panels[(p*K+k)*8+c]), so every kernel walks k through
-// sequential 32-byte steps: the 8×8 tile over one panel for each whole
-// block of eight rows of a pass, and for the rest the row kernels, which
-// cover one, two or four rows over eight, four or two adjacent panels
-// and load each panel vector once for all their rows. The columns are
-// padded with zero columns to a multiple of screenPadCols, whose scores
-// are never read.
+// sequential 32-byte steps. A pass's rows are scored four at a time, and
+// the two or one left over after that, by the row kernels: they cover
+// four, two or one rows over two, four or eight adjacent panels and load
+// each panel vector once for all their rows. The columns are padded with
+// zero columns to a multiple of screenPadCols, whose scores are never
+// read.
 //
 // What it answers is exact, not approximate: ArgMax returns, for every
 // row it answers, the index ArgMax(matMulReference(a, W) + bias)
@@ -139,7 +125,7 @@ func (s *Screen) ArgMax(x *Dense, bias []float64) []int {
 		}
 	}
 	scores := make([]float32, rows*s.cols)
-	s.score(scores, a32, rows, rows/screenTileRows*screenTileRows)
+	s.score(scores, a32, rows)
 	var bMax float64
 	for _, b := range bias {
 		if b := math.Abs(b); b > bMax {
@@ -181,24 +167,20 @@ func toFP32(dst []float32, a []float64) (alpha float64, ok bool) {
 }
 
 // score fills row i of scores (rows × s.cols) with the fp32 product of
-// row i of a (rows × K) and the panels: the rows [0, tiled) — a multiple
-// of screenTileRows — on the tile, the rest on the row kernels. The
-// tile runs panel-outer, block-inner, so one panel (8 KB at K = 256)
-// stays in L1 while every block passes over it; each row-kernel call
-// walks the whole head once.
-func (s *Screen) score(scores, a []float32, rows, tiled int) {
+// row i of a (rows × K) and the panels: four rows per call, then two,
+// then one. Each call walks the whole head once. An 8-row register tile
+// over one panel, which reads the head once per pass, did not beat the
+// 4-row kernel: scoring the perf shape's fine head (256×1002) on one
+// core of a 2-vCPU Xeon VM (BenchmarkScreenScore, five runs each, µs),
+// 8 rows took 74–110 on the tile against 70–91 on two 4-row calls,
+// 16 rows 148–208 against 152–214, and 32 rows 435–512 against 291–434.
+func (s *Screen) score(scores, a []float32, rows int) {
 	k, w := s.src.Rows, s.cols
 	stride := 4 * screenPanelCols * k // bytes from one panel to the next
 	ar := func(i int) *float32 { return &a[i*k] }
 	d := func(i, j int) *float32 { return &scores[i*w+j] }
 	panel := func(j int) *float32 { return &s.panels[j*k] }
-	for j := 0; j < w && tiled > 0; j += screenPanelCols {
-		for i := 0; i < tiled; i += screenTileRows {
-			screenTile8avx32(k, ar(i), ar(i+1), ar(i+2), ar(i+3), ar(i+4), ar(i+5), ar(i+6), ar(i+7),
-				panel(j), d(i, j), d(i+1, j), d(i+2, j), d(i+3, j), d(i+4, j), d(i+5, j), d(i+6, j), d(i+7, j))
-		}
-	}
-	i := tiled
+	i := 0
 	for ; rows-i >= 4; i += 4 {
 		for j := 0; j < w; j += 2 * screenPanelCols {
 			screenRows4avx32(k, ar(i), ar(i+1), ar(i+2), ar(i+3), panel(j), stride,

@@ -15,8 +15,8 @@ func referenceArgMax(a []float64, w *Dense, bias []float64) int {
 }
 
 // passSizes are the pass sizes every single-row case runs at: each row
-// kernel (one, two and four rows) alone and combined, the tile and its
-// padded last block, one and several 8-row blocks.
+// kernel (one, two and four rows) alone and in every combination, and
+// passes of several 4-row calls.
 var passSizes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 33}
 
 // checkPass fails if the screen answers any row of x differently from
@@ -295,7 +295,7 @@ func testScreenArgMaxMatchesReference(t *testing.T) {
 func TestScreenArgMaxMatchesReference(t *testing.T) { testScreenArgMaxMatchesReference(t) }
 
 // FuzzScreenArgMax drives a pass of 1 to 40 rows — every row kernel
-// and the tile — through the screen from raw bytes: fuzzOperands' coarse
+// alone and combined — through the screen from raw bytes: fuzzOperands' coarse
 // values make exact ties and cancellations common, and dup copies one
 // column over another. Whenever the screen answers a row, its answer
 // must be the fp64 reference's.
@@ -322,10 +322,8 @@ func FuzzScreenArgMax(f *testing.F) {
 }
 
 // BenchmarkScreenScore times the fp32 scoring of a pass at the perf
-// shape's fine head (256×1002) on the two ways a pass of 5–8 rows could
-// run: one tile block, padded to eight rows with repeats of the last, or
-// the row kernels (four, two and one rows per call), which read the head
-// once per call. screenTileRows is chosen from it.
+// shape's fine head (256×1002): four rows per row-kernel call, then two,
+// then one, each call reading the whole head.
 func BenchmarkScreenScore(b *testing.B) {
 	w := New(256, 1002)
 	lim := math.Sqrt(6.0 / (256 + 1002))
@@ -334,25 +332,15 @@ func BenchmarkScreenScore(b *testing.B) {
 	if s.Bytes() == 0 {
 		b.Skip("no screen on this host")
 	}
-	// The tile scores the pass padded to eight rows with repeats of its
-	// last row.
-	for rows := 5; rows <= 8; rows++ {
-		a := make([]float32, 8*256)
+	for _, rows := range []int{1, 4, 5, 6, 7, 8, 16, 32} {
+		a := make([]float32, rows*256)
 		for i, v := range tanhRow(NewRand(2), rows*256) {
 			a[i] = float32(v)
 		}
-		for i := rows; i < 8; i++ {
-			copy(a[i*256:(i+1)*256], a[(rows-1)*256:rows*256])
-		}
-		scores := make([]float32, 8*s.cols)
-		b.Run(fmt.Sprintf("rows=%d/tile", rows), func(b *testing.B) {
+		scores := make([]float32, rows*s.cols)
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			for range b.N {
-				s.score(scores, a, 8, 8)
-			}
-		})
-		b.Run(fmt.Sprintf("rows=%d/rowkernels", rows), func(b *testing.B) {
-			for range b.N {
-				s.score(scores, a, rows, 0)
+				s.score(scores, a, rows)
 			}
 		})
 	}

@@ -198,16 +198,6 @@ func (m *MultiHead) Step(x *mat.Dense, targets []*mat.Dense) float64 {
 	return total
 }
 
-// Pack packs the trunk's and every head's weights.
-func (m *MultiHead) Pack() {
-	m.Trunk.Pack()
-	for _, h := range m.Heads {
-		if p, ok := h.Layer.(packer); ok {
-			p.Pack()
-		}
-	}
-}
-
 // Params concatenates trunk and head parameters.
 func (m *MultiHead) Params() []*Param {
 	out := m.Trunk.Params()

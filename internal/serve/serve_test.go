@@ -328,7 +328,7 @@ func batchedLocalizeMatchesUnbatched(t *testing.T, n int) {
 // panels, not before: lone fixes and small passes leave it at one fp64
 // copy of its weights (and the fine-head screen, which its first pass of
 // any size builds and every pass reads). Callers racing through a first
-// 32-row pass — two split chunks on the screen's tile (batching off, so
+// 32-row pass — two split chunks on the screen's row kernels (batching off, so
 // each runs its own; run under -race) — wait for one build and all get
 // the lone-Predict answer.
 func TestFirstLargePassPacksThePlacedModelOnce(t *testing.T) {
